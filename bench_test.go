@@ -1,12 +1,12 @@
 package mdgan_test
 
 // One benchmark per table and figure of the paper's evaluation section
-// (DESIGN.md §4 maps each artifact to its modules), plus
+// (the same artifacts mdgan-bench -only selects: table2 … fig6), plus
 // micro-benchmarks of the kernels the system is built on. The
 // experiment benchmarks print their series once, so
 // `go test -bench=. -benchmem` regenerates the same rows the paper
 // reports; absolute values come from the synthetic substitutes, shapes
-// are the reproduction target (EXPERIMENTS.md records both).
+// are the reproduction target.
 
 import (
 	"fmt"

@@ -1,6 +1,7 @@
 // Command mdgan-bench regenerates every table and figure of the
-// paper's evaluation section (the per-experiment index is DESIGN.md §4)
-// and writes the series to stdout and, optionally, CSV files.
+// paper's evaluation section — one experiment per -only name, table2,
+// table3, table4 and fig2 through fig6 — and writes the series to
+// stdout and, optionally, CSV files.
 //
 //	mdgan-bench                       # quick scale, all experiments
 //	mdgan-bench -only fig3            # one experiment

@@ -9,7 +9,8 @@ import (
 )
 
 // This file maps every table and figure of the paper's evaluation to a
-// runnable experiment (the per-experiment index lives in DESIGN.md §4).
+// runnable experiment (mdgan-bench -only selects one by name: table2,
+// table3, table4, fig2 … fig6).
 // Experiments accept a Scale so the same code drives both the quick
 // benchmark suite (minutes on a laptop) and fuller runs.
 

@@ -55,8 +55,10 @@
 //
 //   - server — the root; consumes the final reduced contributions.
 //   - aggregator — a worker with Children in the plan; it reduces its
-//     children's feedback frames (summing per generated batch) before
-//     forwarding one combined frame to its own parent. Aggregators
+//     children's feedback frames (summing per generated batch, or
+//     keeping per-worker entries when the server must score each
+//     worker) before forwarding one combined frame to its own parent.
+//     Aggregators
 //     are ordinary workers: they hold a shard, train a discriminator,
 //     and add their own feedback to the reduction.
 //   - worker (leaf) — sends its single contribution to its parent.
@@ -74,9 +76,10 @@
 //   - The suspect/demote/rejoin lifecycle above composes unchanged: a
 //     child stranded by a dead aggregator is suspected at the round
 //     deadline like any straggler and reinstated by its next pong.
-//   - The flat star (Flat, the default) must keep the engines on
-//     their pre-topology code paths bitwise — enabling the topology
-//     layer may not shift any pinned RNG stream or wire byte the
+//   - The flat plan's wire bytes and arithmetic are pinned: the
+//     engines run every topology, Flat (the default) included, through
+//     one plan-driven path, and under Flat that path may not shift any
+//     RNG stream, wire byte or floating-point operation the
 //     serial-reference equivalence test observes.
 //
 // To add a topology: implement Topology (Name + a deterministic Plan),

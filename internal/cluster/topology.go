@@ -62,9 +62,9 @@ func (p *Plan) Subtree(name string) []string {
 	return out
 }
 
-// Flat is the paper's star topology: every worker reports its feedback
-// directly to the server. It is the default and the layout whose
-// engine paths the bitwise serial-reference pin replays.
+// Flat is the paper's star topology: a one-level plan in which every
+// worker's parent is the server. It is the default, and the plan whose
+// wire bytes and arithmetic the bitwise serial-reference pin replays.
 type Flat struct{}
 
 // Name implements Topology.

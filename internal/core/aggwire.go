@@ -11,15 +11,18 @@ import (
 )
 
 // Wire encoding of hierarchical feedback aggregation (the tree
-// topology's W→W / W→C frames). An aggregate frame carries the SUM of
-// its contributors' feedbacks per generated-batch index, plus the
-// contributor names, so the server can (a) account every worker the
-// frame covers for round completion and suspect bookkeeping and (b)
-// recover the paper's mean by scaling the global per-batch sum with
-// 1/received — summing is associative, so a tree of partial sums
-// reduces to the same merged update as the flat star up to
-// floating-point reassociation (pinned within tensor.Tol by
-// TestTreeAggregationMatchesFlat).
+// topology's W→W / W→C frames). An aggregate frame carries entries of
+// feedback per generated-batch index, each with its contributor names,
+// so the server can account every worker the frame covers for round
+// completion and suspect bookkeeping. Under mean aggregation an entry
+// is the SUM of its contributors' feedbacks for one batch, and the
+// server recovers the paper's mean by scaling with 1/received — summing
+// is associative, so a tree of partial sums reduces to the same merged
+// update as the flat star up to floating-point reassociation (pinned
+// within tensor.Tol by TestTreeAggregationMatchesFlat). When the server
+// must see each worker (Config.perWorkerFeedback), every entry is one
+// worker's feedback instead, and a batch index repeats once per worker
+// that scored it.
 //
 // Frame layout (little-endian):
 //
@@ -44,9 +47,10 @@ const (
 	msgAggSkip = "aggskip" // C→W: released child slot (failed dispatch)
 )
 
-// maxAggEntries bounds the per-frame entry count: entries are keyed by
-// generated-batch index, and k never exceeds the cluster size, so any
-// frame claiming more is hostile or corrupt.
+// maxAggEntries bounds the per-frame entry count: a frame holds at most
+// one entry per worker of the cluster (per-worker forwarding) or per
+// generated batch (sums, k ≤ N), so any frame claiming more is hostile
+// or corrupt.
 const maxAggEntries = 4096
 
 // aggEntry is one reduced batch group: the sum of Contribs' feedbacks
@@ -57,13 +61,15 @@ type aggEntry struct {
 	Sum      *tensor.Tensor
 }
 
-// aggAccum accumulates feedback sums per generated-batch index. The
-// sum tensors come from the workspace pool and are recycled by
+// aggAccum accumulates feedback sums per generated-batch index — or,
+// with perWorker set, keeps every added contribution as its own entry.
+// The entry tensors come from the workspace pool and are recycled by
 // reset(), so a steady-state aggregation round reuses its buffers —
 // the AllocsPerRun budget in aggwire_test.go pins that.
 type aggAccum struct {
-	entries []aggEntry
-	byIdx   map[int]int
+	perWorker bool
+	entries   []aggEntry
+	byIdx     map[int]int
 }
 
 // reset clears the accumulator for a new round, returning the previous
@@ -84,18 +90,18 @@ func (a *aggAccum) reset() {
 
 // add merges one contribution into batch gIdx: the sum picks up f (a
 // SUM itself when merging a child frame, a single feedback when adding
-// the aggregator's own), and names joins the contributor list. f is
-// only read — the accumulator owns pooled copies, never retains its
+// the aggregator's own), and names joins the contributor list. In
+// perWorker mode every contribution opens its own entry. f is only
+// read — the accumulator owns pooled copies, never retains its
 // arguments (the clone-or-corrupt contract tests pin this).
 func (a *aggAccum) add(gIdx int, names []string, f *tensor.Tensor) {
 	i, ok := a.byIdx[gIdx]
-	if !ok {
+	if !ok || a.perWorker {
 		i = len(a.entries)
 		if i < cap(a.entries) {
 			a.entries = a.entries[:i+1]
-			a.entries[i].GIdx = gIdx
 		} else {
-			a.entries = append(a.entries, aggEntry{GIdx: gIdx})
+			a.entries = append(a.entries, aggEntry{})
 		}
 		a.entries[i].GIdx = gIdx
 		a.entries[i].Sum = tensor.GetZeroed(f.Shape()...)
@@ -106,24 +112,16 @@ func (a *aggAccum) add(gIdx int, names []string, f *tensor.Tensor) {
 	e.Contribs = append(e.Contribs, names...)
 }
 
-// count returns the number of contributors accumulated so far.
-func (a *aggAccum) count() int {
-	n := 0
-	for i := range a.entries {
-		n += len(a.entries[i].Contribs)
-	}
-	return n
-}
-
-// encode frames the accumulated entries for round, sorted by batch
-// index so the frame bytes are independent of merge discovery order.
+// encode frames the accumulated entries for round, stably sorted by
+// batch index so the frame bytes depend only on the (plan-ordered)
+// merge order, never on arrival order.
 // The buffer is freshly allocated on every call, never pooled: the net
 // retains payload references (ChannelNet hands the slice through a
 // channel), and under quorum collect the parent can still be holding
 // round R's frame when round R+1 encodes — reuse would corrupt the
 // in-flight frame.
 func (a *aggAccum) encode(round int, mode Compression) []byte {
-	sort.Slice(a.entries, func(i, j int) bool { return a.entries[i].GIdx < a.entries[j].GIdx })
+	sort.SliceStable(a.entries, func(i, j int) bool { return a.entries[i].GIdx < a.entries[j].GIdx })
 	for i := range a.entries {
 		a.byIdx[a.entries[i].GIdx] = i
 	}
@@ -203,10 +201,11 @@ func readAggContribs(r *bytes.Reader, names []string) ([]string, error) {
 // entry with the entry's batch index, contributor names and decoded
 // sum. The expected feedback shape bounds every tensor decode; the
 // contributor slice and tensor are only valid during the callback —
-// retainers must clone. Duplicate batch indices within one frame are
-// rejected (a legal aggregator merges per index before encoding), so a
-// hostile frame cannot multiply decode work beyond maxAggEntries
-// distinct sums.
+// retainers must clone. A batch index may repeat — per-worker
+// forwarding sends one entry per worker that scored the batch — so the
+// decode work a hostile frame can demand is bounded by the entry count
+// (at most maxAggEntries, and at most one per 12 payload bytes) times
+// the expected feedback volume.
 func decodeAggInto(p []byte, want []int, merge func(gIdx int, contribs []string, sum *tensor.Tensor) error) (round int, err error) {
 	r := bytes.NewReader(p)
 	round, entries, err := readAggHeader(r)
@@ -214,7 +213,6 @@ func decodeAggInto(p []byte, want []int, merge func(gIdx int, contribs []string,
 		return 0, err
 	}
 	var names []string
-	var seen map[int]bool
 	var tmp [4]byte
 	for i := 0; i < entries; i++ {
 		if _, err := io.ReadFull(r, tmp[:]); err != nil {
@@ -224,13 +222,6 @@ func decodeAggInto(p []byte, want []int, merge func(gIdx int, contribs []string,
 		if gIdx >= maxAggEntries {
 			return round, fmt.Errorf("core: implausible aggregate batch index %d", gIdx)
 		}
-		if seen[gIdx] {
-			return round, fmt.Errorf("core: duplicate aggregate batch index %d", gIdx)
-		}
-		if seen == nil {
-			seen = make(map[int]bool, entries)
-		}
-		seen[gIdx] = true
 		if names, err = readAggContribs(r, names[:0]); err != nil {
 			return round, err
 		}
@@ -255,9 +246,9 @@ func decodeAggInto(p []byte, want []int, merge func(gIdx int, contribs []string,
 }
 
 // aggContribNames scans an aggregate frame for its round tag and the
-// full contributor list without decoding any tensor — the cheap
-// arrival-time pass the server's collect uses for round accounting
-// before the deterministic merge.
+// full contributor list without decoding any tensor — the cheap pass
+// the server uses to credit every contributor named in a stale
+// aggregate with evidence of life.
 func aggContribNames(p []byte, names []string) (round int, _ []string, err error) {
 	r := bytes.NewReader(p)
 	round, entries, err := readAggHeader(r)

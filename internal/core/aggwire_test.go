@@ -8,6 +8,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
@@ -31,6 +32,24 @@ func validAggPayload(mode Compression) []byte {
 	a.add(0, []string{"worker3"}, f1)
 	a.add(1, []string{"worker6"}, f1)
 	out := a.encode(7, mode)
+	a.reset()
+	return out
+}
+
+// perWorkerAggPayload builds a per-worker frame as an aggregator that
+// forwards every worker's feedback separately would: n single-contributor
+// entries, alternating between batch indices 0 and 1.
+func perWorkerAggPayload(mode Compression, n int) []byte {
+	f := tensor.New(2, 3)
+	for i := range f.Data {
+		f.Data[i] = tensor.Elem(i) * 0.5
+	}
+	a := aggAccum{perWorker: true}
+	a.reset()
+	for i := 0; i < n; i++ {
+		a.add(i%2, []string{workerName(i)}, f)
+	}
+	out := a.encode(9, mode)
 	a.reset()
 	return out
 }
@@ -87,28 +106,32 @@ func TestDecodeAggregateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeAggregateRejects pins the per-field bounds: duplicate batch
-// indices, implausible indices, entry-count and contributor-count bombs
-// all error before any proportional work.
+// TestDecodePerWorkerAggregate: a per-worker frame keeps one entry per
+// contributor, stably sorted by batch index, and the decoder accepts
+// the repeated indices.
+func TestDecodePerWorkerAggregate(t *testing.T) {
+	var got []string
+	_, err := decodeAggInto(perWorkerAggPayload(CompressNone, 4), []int{2, 3}, func(gIdx int, contribs []string, sum *tensor.Tensor) error {
+		if len(contribs) != 1 || sum.Data[2] != 1 {
+			t.Fatalf("entry %d: contributors %v, sum %v — want one worker's feedback", gIdx, contribs, sum.Data)
+		}
+		got = append(got, fmt.Sprintf("%d:%s", gIdx, contribs[0]))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"0:worker0", "0:worker2", "1:worker1", "1:worker3"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("entries = %v, want %v", got, want)
+	}
+}
+
+// TestDecodeAggregateRejects pins the per-field bounds: implausible
+// batch indices, entry-count and contributor-count bombs all error
+// before any proportional work.
 func TestDecodeAggregateRejects(t *testing.T) {
 	want := []int{2, 3}
 	noMerge := func(int, []string, *tensor.Tensor) error { return nil }
-
-	dup := func() []byte { // two entries, same gIdx
-		f := tensor.New(2, 3)
-		var a aggAccum
-		a.reset()
-		a.add(0, []string{"w"}, f)
-		p := a.encode(1, CompressNone)
-		a.reset()
-		// Double the single entry, patch nEntries to 2.
-		p = append(p, p[8:]...)
-		binary.LittleEndian.PutUint32(p[4:8], 2)
-		return p
-	}()
-	if _, err := decodeAggInto(dup, want, noMerge); err == nil {
-		t.Fatal("duplicate batch index accepted")
-	}
 
 	valid := validAggPayload(CompressNone)
 	bigIdx := append([]byte(nil), valid...)
@@ -155,6 +178,11 @@ func FuzzDecodeAggregate(f *testing.F) {
 		valid := validAggPayload(mode)
 		f.Add(valid)
 		f.Add(valid[:len(valid)/2]) // truncated mid-entry
+	}
+	for _, mode := range []Compression{CompressNone, CompressFP32, CompressTopK} {
+		perWorker := perWorkerAggPayload(mode, 5) // repeated batch indices
+		f.Add(perWorker)
+		f.Add(perWorker[:len(perWorker)-3])
 	}
 	f.Add([]byte{})
 	f.Add(binary.LittleEndian.AppendUint32(nil, 3)) // round only, no count
@@ -215,6 +243,36 @@ func TestHostileAggregateFramesDoNotOverAllocate(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("hostile frames allocated %d bytes; bounds checks must reject before allocating", grew)
+	}
+
+	// Per-worker forwarding repeats batch indices, so the entry count is
+	// the bound: maxAggEntries single-contributor entries decode with
+	// work proportional to the entry count, and one entry more is
+	// rejected before any decode.
+	decode := func(p []byte) (n int, grew uint64, err error) {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err = decodeAggInto(p, want, func(int, []string, *tensor.Tensor) error { n++; return nil })
+		runtime.ReadMemStats(&after)
+		return n, after.TotalAlloc - before.TotalAlloc, err
+	}
+	one := perWorkerAggPayload(CompressNone, 1)
+	_, perEntry, err := decode(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := perWorkerAggPayload(CompressNone, maxAggEntries)
+	n, grew, err := decode(full)
+	if err != nil || n != maxAggEntries {
+		t.Fatalf("a frame of maxAggEntries per-worker entries decoded %d entries, err %v", n, err)
+	}
+	if grew > 2*maxAggEntries*perEntry {
+		t.Fatalf("%d entries allocated %d bytes, %d for one entry", n, grew, perEntry)
+	}
+	over := append(append([]byte(nil), full...), one[8:]...)
+	binary.LittleEndian.PutUint32(over[4:8], maxAggEntries+1)
+	if _, grew, err := decode(over); err == nil || grew > 4<<10 {
+		t.Fatalf("a frame past maxAggEntries: err %v after allocating %d bytes, want a rejection before any decode", err, grew)
 	}
 }
 

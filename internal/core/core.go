@@ -148,12 +148,13 @@ type Config struct {
 	SuspectAfter int
 	// Topology selects the feedback-aggregation topology (see the
 	// cluster package's topology contract). nil or cluster.Flat keeps
-	// the paper's flat star — every worker feeds the server directly,
-	// byte-for-byte the pre-topology engine. cluster.Tree routes
-	// feedbacks through worker-hosted aggregators, bounding the server's
-	// per-round ingress by its fan-in instead of N. Synchronous engines
-	// only, and AggMean only (partial sums commute with the mean, not
-	// with median-style rules).
+	// the paper's flat star — every worker feeds the server directly.
+	// cluster.Tree routes feedbacks through worker-hosted aggregators,
+	// bounding the server's per-round message count by its fan-in
+	// instead of N. Aggregators sum per generated batch under AggMean;
+	// under median/trimmed aggregation, the Defense or JoinWarmup they
+	// forward per-worker entries instead, so those features compose with
+	// a tree at flat-star ingress bytes. Synchronous engines only.
 	Topology cluster.Topology
 	// SwapSched selects the SWAP pairing (nil = RingSwap, the paper's
 	// cyclic permutation). Non-ring schedules are synchronous-only: the
@@ -161,10 +162,10 @@ type Config struct {
 	// per-round.
 	SwapSched SwapSchedule
 	// Defense configures the server-side feedback-quality defense
-	// against free-riders (defense.go). Synchronous flat-topology
-	// engines only: the server must see per-worker feedbacks, which a
-	// tree pre-sums away. Attack-free runs stay on the bitwise-pinned
-	// arithmetic path whether the defense is on or off.
+	// against free-riders (defense.go). Synchronous engines only; under
+	// a tree the aggregators forward per-worker feedbacks so the server
+	// still scores every worker. Attack-free runs stay on the
+	// bitwise-pinned arithmetic path whether the defense is on or off.
 	Defense DefenseConfig
 	// Lifetimes bounds workers' participation windows (temporary
 	// discriminators, Qu et al.): worker index → Lifetime. Joining
@@ -175,7 +176,8 @@ type Config struct {
 	// JoinWarmup, when > 0, ramps a dynamic joiner's aggregation weight
 	// linearly over its first JoinWarmup rounds (Qu et al.'s
 	// generator-stability rule: a fresh discriminator's feedback is
-	// noise to the generator at first). Flat topology only.
+	// noise to the generator at first). Under a tree the aggregators
+	// forward per-worker feedbacks so the server can weight each joiner.
 	JoinWarmup int
 }
 
@@ -326,36 +328,21 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 	if cfg.Async && cfg.Pipeline {
 		return nil, fmt.Errorf("core: Pipeline applies to the synchronous engine only")
 	}
-	// A Flat topology is identity — drop it to nil so the engine stays
-	// on the pre-topology code paths (the bitwise pin's configuration).
 	topo := cfg.Topology
-	if topo != nil && topo.Name() == "flat" {
-		topo = nil
+	if topo == nil {
+		topo = cluster.Flat{}
 	}
-	if topo != nil {
-		if cfg.Async {
-			return nil, fmt.Errorf("core: topology %q requires synchronous mode", topo.Name())
-		}
-		if cfg.Aggregate != AggMean {
-			return nil, fmt.Errorf("core: topology %q requires mean aggregation (partial sums do not commute with %s)", topo.Name(), cfg.Aggregate)
-		}
+	if cfg.Async && topo.Name() != "flat" {
+		return nil, fmt.Errorf("core: topology %q requires synchronous mode", topo.Name())
 	}
 	if cfg.SwapSched != nil && cfg.SwapSched.Name() != "ring" && cfg.Async {
 		return nil, fmt.Errorf("core: swap schedule %q requires synchronous mode", cfg.SwapSched.Name())
 	}
-	if cfg.Defense.Enabled {
-		if cfg.Async {
-			return nil, fmt.Errorf("core: feedback-quality defense requires synchronous mode")
-		}
-		if topo != nil {
-			return nil, fmt.Errorf("core: feedback-quality defense requires the flat topology (a %s pre-sums per-worker feedbacks away)", topo.Name())
-		}
+	if cfg.Defense.Enabled && cfg.Async {
+		return nil, fmt.Errorf("core: feedback-quality defense requires synchronous mode")
 	}
 	if cfg.JoinWarmup < 0 {
 		return nil, fmt.Errorf("core: negative JoinWarmup %d", cfg.JoinWarmup)
-	}
-	if cfg.JoinWarmup > 0 && topo != nil {
-		return nil, fmt.Errorf("core: joiner warm-up requires the flat topology (a %s cannot reweight pre-summed contributions)", topo.Name())
 	}
 	if len(cfg.Lifetimes) > 0 {
 		if cfg.Async {
@@ -410,6 +397,7 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 		roundTimeout: cfg.RoundTimeout,
 		quorum:       cfg.Quorum,
 		topo:         topo,
+		perWorker:    cfg.perWorkerFeedback(),
 		swapSched:    cfg.SwapSched,
 		probes:       make(map[string]bool),
 		joinWarmup:   cfg.JoinWarmup,
@@ -491,6 +479,14 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 	}, nil
 }
 
+// perWorkerFeedback reports whether the server must see every worker's
+// feedback on its own: median and trimmed aggregation, the defense and
+// the joiner warm-up all score or weight individual workers. Tree
+// aggregators then forward per-worker entries instead of per-batch sums.
+func (c Config) perWorkerFeedback() bool {
+	return c.Aggregate != AggMean || c.Defense.Enabled || c.JoinWarmup > 0
+}
+
 // newWorker builds worker i over its shard. The discriminator starts as
 // a clone of the shared template (for joiners it is overwritten by the
 // donor's parameters before the first batch arrives).
@@ -508,6 +504,7 @@ func newWorker(cfg Config, net simnet.Net, lc gan.LossConfig, template *gan.Disc
 		compress:  cfg.Compress,
 		swapPrec:  cfg.SwapPrec,
 		byzantine: cfg.Byzantine[i],
+		agg:       aggAccum{perWorker: cfg.perWorkerFeedback()},
 		rng:       rand.New(rand.NewSource(cfg.Seed + 15485863*int64(i+1))),
 		done:      make(chan struct{}),
 	}

@@ -46,9 +46,9 @@ import (
 // DefenseConfig configures the feedback-quality defense. The zero
 // value of every knob selects the documented default.
 type DefenseConfig struct {
-	// Enabled turns the defense on. Synchronous flat-topology engines
-	// only (the server must see per-worker feedbacks; a tree pre-sums
-	// them).
+	// Enabled turns the defense on. Synchronous engines only (under a
+	// tree, aggregators forward per-worker feedbacks so the server can
+	// score each worker).
 	Enabled bool
 	// Decay is the EWMA weight of the PAST suspicion (default 0.5):
 	// s ← Decay·s + (1−Decay)·p with p this round's penalty in [0, 1].

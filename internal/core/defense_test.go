@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"mdgan/internal/cluster"
 	"mdgan/internal/dataset"
 	"mdgan/internal/gan"
 	"mdgan/internal/simnet"
@@ -44,84 +45,95 @@ func digitsDefenseConfig(t *testing.T, iters int) ([]*dataset.Dataset, Config) {
 // budget — while the six honest workers survive untouched. The run
 // rides a seeded ChaosNet (drops, delays, duplicates) to prove the
 // defense composes with the transient-fault machinery instead of
-// misfiring on its noise.
+// misfiring on its noise. The tree subtest repeats every variant under
+// a depth-2 tree, where the attackers are leaves whose fabrications
+// reach the server as per-worker entries inside their aggregators'
+// frames.
 func TestDefenseDemotesFreeRiders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("defense soak is a long test")
 	}
 	attackers := []int{2, 5}
-	for _, tc := range []struct {
+	modes := []struct {
 		name string
 		mode ByzantineMode
 	}{
 		{"random", FreeRiderRandom},
 		{"replay", FreeRiderReplay},
 		{"noise", FreeRiderScaledNoise},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			before := goroutineBaseline()
-			inner := simnet.NewChannelNet(0)
-			chaos := simnet.WrapChaos(inner, simnet.ChaosConfig{
-				Seed:      2026,
-				Drop:      0.002,
-				Delay:     0.02,
-				MaxDelay:  2 * time.Millisecond,
-				Duplicate: 0.01,
-				// No payload corruption: a corrupt frame strikes its
-				// sender through the same budget the defense uses, which
-				// would conflate the two demotion paths this test tells
-				// apart.
-				ProtectTypes: map[string]bool{msgStop: true, msgSwap: true},
-			})
-			shards, cfg := digitsDefenseConfig(t, 24)
-			cfg.Net = chaos
-			cfg.RoundTimeout = 250 * time.Millisecond
-			cfg.Byzantine = map[int]ByzantineMode{}
-			for _, i := range attackers {
-				cfg.Byzantine[i] = tc.mode
-			}
-			res, err := Train(shards, gan.ScaledMLP(32), cfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Iters != cfg.Iters {
-				t.Fatalf("applied %d updates, want %d", res.Iters, cfg.Iters)
-			}
-			if res.Faults.FreeRidersDemoted != len(attackers) {
-				t.Fatalf("faults = %+v, want both free-riders demoted", res.Faults)
-			}
-			if res.Faults.DownWeighted == 0 {
-				t.Fatalf("faults = %+v: demotion must pass through the reversible down-weight rung first", res.Faults)
-			}
-			for _, i := range attackers {
-				name := workerName(i)
-				if contains(res.Live, name) {
-					t.Fatalf("live = %v: free-rider %s survived", res.Live, name)
-				}
-				d, ok := res.Faults.Defense[name]
-				if !ok || !d.Demoted {
-					t.Fatalf("defense snapshot for %s = %+v, want demoted", name, d)
-				}
-				if tc.mode == FreeRiderReplay && d.ReplayHits == 0 {
-					t.Fatalf("replay free-rider %s demoted without a fingerprint hit: %+v", name, d)
-				}
-			}
-			for i := 0; i < 8; i++ {
-				name := workerName(i)
-				if i == attackers[0] || i == attackers[1] {
-					continue
-				}
-				if !contains(res.Live, name) {
-					t.Fatalf("live = %v: honest worker %s was demoted", res.Live, name)
-				}
-				if d := res.Faults.Defense[name]; d.Suspicion >= defaultDownWeightAt {
-					t.Fatalf("honest worker %s ended at suspicion %.3f — the defense would down-weight it", name, d.Suspicion)
-				}
-			}
-			chaos.Close()
-			assertNoGoroutineLeak(t, before)
-		})
 	}
+	soak := func(t *testing.T, mode ByzantineMode, topo cluster.Topology) {
+		before := goroutineBaseline()
+		inner := simnet.NewChannelNet(0)
+		chaos := simnet.WrapChaos(inner, simnet.ChaosConfig{
+			Seed:      2026,
+			Drop:      0.002,
+			Delay:     0.02,
+			MaxDelay:  2 * time.Millisecond,
+			Duplicate: 0.01,
+			// No payload corruption: a corrupt frame strikes its
+			// sender through the same budget the defense uses, which
+			// would conflate the two demotion paths this test tells
+			// apart.
+			ProtectTypes: map[string]bool{msgStop: true, msgSwap: true},
+		})
+		shards, cfg := digitsDefenseConfig(t, 24)
+		cfg.Topology = topo
+		cfg.Net = chaos
+		cfg.RoundTimeout = 250 * time.Millisecond
+		cfg.Byzantine = map[int]ByzantineMode{}
+		for _, i := range attackers {
+			cfg.Byzantine[i] = mode
+		}
+		res, err := Train(shards, gan.ScaledMLP(32), cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iters != cfg.Iters {
+			t.Fatalf("applied %d updates, want %d", res.Iters, cfg.Iters)
+		}
+		if res.Faults.FreeRidersDemoted != len(attackers) {
+			t.Fatalf("faults = %+v, want both free-riders demoted", res.Faults)
+		}
+		if res.Faults.DownWeighted == 0 {
+			t.Fatalf("faults = %+v: demotion must pass through the reversible down-weight rung first", res.Faults)
+		}
+		for _, i := range attackers {
+			name := workerName(i)
+			if contains(res.Live, name) {
+				t.Fatalf("live = %v: free-rider %s survived", res.Live, name)
+			}
+			d, ok := res.Faults.Defense[name]
+			if !ok || !d.Demoted {
+				t.Fatalf("defense snapshot for %s = %+v, want demoted", name, d)
+			}
+			if mode == FreeRiderReplay && d.ReplayHits == 0 {
+				t.Fatalf("replay free-rider %s demoted without a fingerprint hit: %+v", name, d)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			name := workerName(i)
+			if i == attackers[0] || i == attackers[1] {
+				continue
+			}
+			if !contains(res.Live, name) {
+				t.Fatalf("live = %v: honest worker %s was demoted", res.Live, name)
+			}
+			if d := res.Faults.Defense[name]; d.Suspicion >= defaultDownWeightAt {
+				t.Fatalf("honest worker %s ended at suspicion %.3f — the defense would down-weight it", name, d.Suspicion)
+			}
+		}
+		chaos.Close()
+		assertNoGoroutineLeak(t, before)
+	}
+	for _, tc := range modes {
+		t.Run(tc.name, func(t *testing.T) { soak(t, tc.mode, nil) })
+	}
+	t.Run("tree", func(t *testing.T) {
+		for _, tc := range modes {
+			t.Run(tc.name, func(t *testing.T) { soak(t, tc.mode, cluster.Tree{Depth: 2}) })
+		}
+	})
 }
 
 // TestDefenseFaultFreeKeepsStrictPin: with zero attackers, enabling the

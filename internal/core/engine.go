@@ -12,10 +12,19 @@ package core
 //	dispatch  — simnet.BroadcastEach; an ErrNodeDown destination is
 //	            suspected (or, without a round deadline, demoted
 //	            fail-stop style) instead of aborting the run
-//	collect   — one feedback per successfully-dispatched worker,
-//	            bounded by RoundTimeout with quorum degradation
+//	collect   — one frame per direct child of the server in the round's
+//	            aggregation plan, accounted per contributor and bounded
+//	            by RoundTimeout with quorum degradation
 //	apply     — aggregate per generated batch, backprop through G,
 //	            Adam step, eval hook
+//
+// The flat star is an ordinary one-level plan (cluster.Flat: every
+// worker's parent is the server), so one collect and one apply serve
+// every topology. A childless direct child of the server sends a plain
+// msgFeedback — the flat star's only frame — and an aggregator sends an
+// msgAgg frame of entries: per-worker feedbacks when the server must
+// score or weight workers individually (median/trimmed aggregation, the
+// defense, joiner warm-up), per-batch sums otherwise.
 //
 // Two drivers compose the stages. runSync is the paper's strict
 // barrier loop — stage order within one round, bitwise-identical
@@ -74,10 +83,13 @@ type server struct {
 	// quorum is the minimum feedback count needed to apply a round when
 	// the deadline expires (≤ 0 = 1).
 	quorum int
-	// topo computes the per-round aggregation plan. nil = the flat star,
-	// which keeps the pre-topology dispatch/collect/apply paths
-	// byte-for-byte (the bitwise pin's configuration).
+	// topo computes the per-round aggregation plan (cluster.Flat for the
+	// paper's star, whose wire bytes and arithmetic the bitwise pin
+	// replays).
 	topo cluster.Topology
+	// perWorker is Config.perWorkerFeedback: aggregators forward
+	// per-worker entries, so a pre-summed entry is a corrupt frame.
+	perWorker bool
 	// swapSched plans the SWAP step over the active workers (RingSwap —
 	// the paper's cyclic permutation — when nil).
 	swapSched SwapSchedule
@@ -125,34 +137,31 @@ type round struct {
 	// the old per-worker re-encoding of the same tensors is gone.
 	frames [][]byte
 
+	// plan is this round's aggregation plan (route computes it).
+	plan *cluster.Plan
+	// got is the contributor set: every dispatched worker whose feedback
+	// reached the server this round, alone or inside a pre-summed entry.
+	got map[string]bool
+	// failed marks dispatched workers given up on this round: a dead
+	// route at dispatch, a corrupt frame's subtree, a demotion, or a
+	// quorum cut. Names outside sent may appear (preFailSubtree marks
+	// whole planned subtrees) and are never counted.
+	failed map[string]bool
+	// reparented dedups the per-round reparent charge per aggregator.
+	reparented map[string]bool
+	// feedbacks holds the per-worker feedbacks; sums holds each direct
+	// child's pre-summed entries (mean-aggregation trees), merged by
+	// apply in plan order.
 	feedbacks map[string]*tensor.Tensor
+	sums      map[string][]aggEntry
 
-	// Apply-stage reusable buffers (flat path): member names and
-	// feedback tensors grouped per generated batch, the per-group
-	// pooled gradients, and — on weighted rounds — the group weights.
+	// Apply-stage reusable buffers: member names and feedback tensors
+	// grouped per generated batch, the per-group pooled gradients, and —
+	// on weighted rounds — the group weights.
 	groupNames [][]string
 	groupFeeds [][]*tensor.Tensor
 	outGrads   []*tensor.Tensor
 	groupWs    []float64
-
-	// Tree-collect state, all nil/empty on the flat path (lazily
-	// allocated so a flat round's reset stays allocation-identical to
-	// the pre-topology engine).
-	plan *cluster.Plan // this round's aggregation plan (nil = flat)
-	// acctGot is the contributor set: every worker whose feedback
-	// arrived inside some aggregate frame this round.
-	acctGot map[string]bool
-	// aggEnts holds the decoded entries of each direct child's
-	// aggregate frame; apply merges them in plan order.
-	aggEnts map[string][]aggEntry
-	// preFailed marks the planned subtrees of workers whose dispatch
-	// failed — their contributions are unreachable this round.
-	preFailed map[string]bool
-	// reparented dedups the per-round reparent charge per aggregator.
-	reparented map[string]bool
-	// agg is the apply-stage merge accumulator; its sum tensors come
-	// from the workspace pool and are recycled every round.
-	agg aggAccum
 }
 
 // reset prepares the round slot for iteration it, reusing backing
@@ -168,34 +177,23 @@ func (r *round) reset(it int) {
 	r.labs = r.labs[:0]
 	r.shape = r.shape[:0]
 	r.msgs = r.msgs[:0]
-	if r.sent == nil {
-		r.sent = make(map[string]bool)
-	} else {
-		clear(r.sent)
-	}
-	if r.gIdx == nil {
-		r.gIdx = make(map[string]int)
-	} else {
-		clear(r.gIdx)
-	}
-	if r.feedbacks == nil {
-		r.feedbacks = make(map[string]*tensor.Tensor)
-	} else {
-		clear(r.feedbacks)
-	}
 	r.plan = nil
-	if r.acctGot != nil {
-		clear(r.acctGot)
+	r.sent = clearOrMake(r.sent)
+	r.gIdx = clearOrMake(r.gIdx)
+	r.got = clearOrMake(r.got)
+	r.failed = clearOrMake(r.failed)
+	r.reparented = clearOrMake(r.reparented)
+	r.feedbacks = clearOrMake(r.feedbacks)
+	r.sums = clearOrMake(r.sums)
+}
+
+// clearOrMake empties m in place, allocating it on first use.
+func clearOrMake[V any](m map[string]V) map[string]V {
+	if m == nil {
+		return make(map[string]V)
 	}
-	if r.aggEnts != nil {
-		clear(r.aggEnts)
-	}
-	if r.preFailed != nil {
-		clear(r.preFailed)
-	}
-	if r.reparented != nil {
-		clear(r.reparented)
-	}
+	clear(m)
+	return m
 }
 
 // prepare runs the membership stage for iteration it: scheduled
@@ -275,10 +273,7 @@ func (s *server) route(r *round) {
 	// active set — deterministic and RNG-free (the Topology contract),
 	// so a membership change reparents orphans as a plain side effect of
 	// replanning, without disturbing the pinned RNG streams.
-	r.plan = nil
-	if s.topo != nil {
-		r.plan = s.topo.Plan(serverName, r.active)
-	}
+	r.plan = s.topo.Plan(serverName, r.active)
 	// Aggregators bound their own wait at half the round deadline so a
 	// partial reduction (a child's frame was lost) still reaches the
 	// server before ITS timer expires — otherwise every lost child frame
@@ -303,11 +298,11 @@ func (s *server) route(r *round) {
 			gi := i % r.k
 			di := (i + 1) % r.k
 			swap := r.swapTo[name]
-			var parent string
-			var kids []string
-			if r.plan != nil {
-				parent = r.plan.Parent[name]
-				kids = r.plan.Children[name]
+			parent, kids := r.plan.Parent[name], r.plan.Children[name]
+			if parent == serverName && len(kids) == 0 {
+				// A childless direct child reports with a plain
+				// msgFeedback: the flat star's wire, byte for byte.
+				parent = ""
 			}
 			size := len(r.frames[di]) + len(r.frames[gi]) + 4 + len(swap) + 4 +
 				4 + len(parent) + 4 + 8
@@ -355,9 +350,7 @@ func (s *server) dispatch(r *round) error {
 				s.m.Fail(name)
 			}
 			s.cancelSwap(r, name)
-			if r.plan != nil {
-				s.preFailSubtree(r, name)
-			}
+			s.preFailSubtree(r, name)
 		default:
 			return fmt.Errorf("core: send batches: %w", err)
 		}
@@ -373,20 +366,18 @@ func (s *server) dispatch(r *round) error {
 // marked failed for collect's accounting in BOTH timeout modes, name's
 // own parent gets a skip release so it stops waiting for the slot, and
 // name's direct children are charged a reparent (the next round's plan
-// rehomes them).
+// rehomes them). In the flat plan the subtree is just name, which was
+// never sent to, so none of this has any effect.
 //
 // BroadcastEach completes every send before dispatch examines the
 // errors, so on a FIFO per-pair transport the skip can never overtake
 // the parent's own batches frame.
 func (s *server) preFailSubtree(r *round, name string) {
-	if r.preFailed == nil {
-		r.preFailed = make(map[string]bool)
-	}
 	for _, n := range r.plan.Subtree(name) {
-		r.preFailed[n] = true
+		r.failed[n] = true
 	}
 	s.noteReparented(r, name)
-	if parent := r.plan.Parent[name]; parent != "" && parent != serverName && !r.preFailed[parent] {
+	if parent := r.plan.Parent[name]; parent != serverName && !r.failed[parent] {
 		_ = s.net.Send(simnet.Message{
 			From: serverName, To: parent, Type: msgAggSkip, Kind: simnet.CtoW,
 			Payload: encodeAggSkip(r.it, name),
@@ -401,9 +392,6 @@ func (s *server) noteReparented(r *round, aggName string) {
 	kids := r.plan.Children[aggName]
 	if len(kids) == 0 || r.reparented[aggName] {
 		return
-	}
-	if r.reparented == nil {
-		r.reparented = make(map[string]bool)
 	}
 	r.reparented[aggName] = true
 	for _, c := range kids {
@@ -439,36 +427,48 @@ func (s *server) cancelSwap(r *round, name string) {
 	})
 }
 
-// collect gathers one feedback per successfully-dispatched worker,
-// bounded by the round deadline. Without a deadline (RoundTimeout 0 —
-// the strict fail-stop-only mode the bitwise pin replays) it blocks
-// until every feedback is in. With one, a deadline expiry marks every
-// missing worker suspect (releasing its swap receiver) and, once at
-// least quorum feedbacks are in, applies the round with what it has
-// instead of deadlocking the run on a hung worker; below quorum the
-// timer re-arms and the wait continues — bounded, because each expiry
-// ticks the missing workers' escalation counters until they demote and
-// stop being waited for.
+// collect gathers this round's contributions, bounded by the round
+// deadline. Each direct child of the server sends one frame — its own
+// msgFeedback when childless, an msgAgg frame of entries when it
+// aggregates — so server ingress is bounded by the plan's root fan-in.
+// All accounting counts contributors: the round is complete when every
+// dispatched worker has arrived or been given up on.
+//
+// Without a deadline (RoundTimeout 0 — the strict fail-stop-only mode
+// the bitwise pin replays) it blocks until every contributor is in.
+// With one, a deadline expiry marks every missing worker suspect
+// (releasing its swap receiver, charging a missing aggregator's
+// children a reparent) and, once at least quorum contributors are in,
+// applies the round with what it has instead of deadlocking the run on
+// a hung worker; below quorum the timer re-arms and the wait continues
+// — bounded, because each expiry ticks the missing workers' escalation
+// counters until they demote and stop being waited for.
 //
 // Stale or unexpected messages are skipped, but any message from a
-// suspect — a pong, a late feedback — is evidence of life and
-// reinstates it. A corrupt feedback frame strikes its sender (suspect,
-// or demote past the threshold) and the round continues; this used to
-// abort the entire training run. A closed server inbox (the transport
-// died under the engine) is fatal.
+// suspect — a pong, a late frame — is evidence of life and reinstates
+// it. A corrupt frame strikes its sender (suspect, or demote past the
+// threshold) and gives up on everything routed through it this round.
+// A closed server inbox (the transport died under the engine) is fatal.
 func (s *server) collect(r *round) error {
-	if r.plan != nil {
-		return s.collectTree(r)
-	}
 	if len(r.sent) == 0 {
 		return nil
 	}
-	inbox := s.net.Inbox(serverName)
-	// failed counts dispatched workers that will never answer this round
-	// (corrupt senders, suspects given up on, demotions); the round is
-	// complete when feedbacks + failed covers everyone dispatched to.
+	// Workers whose planned route died at dispatch (preFailSubtree) are
+	// given up on from the start; drop gives up on one more.
 	failed := 0
-	var failedSet, canceled map[string]bool
+	for name := range r.failed {
+		if r.sent[name] {
+			failed++
+		}
+	}
+	drop := func(name string) {
+		if r.pending(name) {
+			r.failed[name] = true
+			failed++
+		}
+	}
+	var canceled map[string]bool
+	inbox := s.net.Inbox(serverName)
 	var timer *time.Timer
 	var deadline <-chan time.Time
 	if s.roundTimeout > 0 {
@@ -476,7 +476,7 @@ func (s *server) collect(r *round) error {
 		defer timer.Stop()
 		deadline = timer.C
 	}
-	for len(r.feedbacks)+failed < len(r.sent) {
+	for len(r.got)+failed < len(r.sent) {
 		var msg simnet.Message
 		var ok bool
 		if deadline == nil {
@@ -485,19 +485,17 @@ func (s *server) collect(r *round) error {
 			select {
 			case msg, ok = <-inbox:
 			case <-deadline:
-				if failedSet == nil {
-					failedSet = make(map[string]bool)
+				if canceled == nil {
 					canceled = make(map[string]bool)
 				}
 				// Every missing worker takes a miss (r.active iteration
 				// keeps the order deterministic). Its swap receiver is
 				// released exactly once — the suspect, having never seen
-				// its batches, will never send the swap it owes.
+				// its batches, will never send the swap it owes — and a
+				// missing aggregator strands its children's only route to
+				// the server, so the next plan rehomes them.
 				for _, name := range r.active {
-					if !r.sent[name] || failedSet[name] {
-						continue
-					}
-					if _, got := r.feedbacks[name]; got {
+					if !r.pending(name) {
 						continue
 					}
 					s.m.NoteTimeout(name)
@@ -506,26 +504,16 @@ func (s *server) collect(r *round) error {
 						canceled[name] = true
 						s.cancelSwap(r, name)
 					}
+					s.noteReparented(r, name)
 					if demoted {
-						failedSet[name] = true
-						failed++
+						drop(name)
 					}
 				}
-				quorum := s.quorum
-				if quorum < 1 {
-					quorum = 1
-				}
-				if len(r.feedbacks) >= quorum {
+				if len(r.got) >= max(s.quorum, 1) {
 					// Quorum reached: apply the round without the
 					// missing (they stay suspect until probed back in).
 					for _, name := range r.active {
-						if !r.sent[name] || failedSet[name] {
-							continue
-						}
-						if _, got := r.feedbacks[name]; !got {
-							failedSet[name] = true
-							failed++
-						}
+						drop(name)
 					}
 				} else {
 					timer.Reset(s.roundTimeout)
@@ -536,241 +524,127 @@ func (s *server) collect(r *round) error {
 		if !ok {
 			return fmt.Errorf("core: server inbox closed")
 		}
-		switch msg.Type {
-		case msgPong:
-			if s.m.Reinstate(msg.From) {
-				delete(s.probes, msg.From)
+		if msg.Type != msgFeedback && msg.Type != msgAgg {
+			if msg.Type == msgPong {
+				s.reinstate(msg.From)
 			}
-			continue
-		case msgFeedback:
-		default:
 			continue
 		}
 		from := msg.From
-		if !r.sent[from] || failedSet[from] {
-			// Not usable this round (stale, or already given up on) —
-			// but a feedback from a suspect is evidence of life.
-			if s.m.Reinstate(from) {
-				delete(s.probes, from)
-			}
+		if !r.expects(msg) {
+			// Not usable this round (stale, duplicate, or from a worker
+			// already given up on) — but evidence of life.
+			s.reinstate(from)
 			continue
 		}
-		if _, dup := r.feedbacks[from]; dup {
-			continue
-		}
-		// A feedback must have the shape of the generated batch it
-		// answers; the expected shape also bounds the decode so a
-		// corrupt frame cannot over-allocate.
-		f, err := decodeFeedbackAny(msg.Payload, r.shape)
+		ents, err := s.decodeFrame(r, msg)
 		if err != nil {
-			// Corrupt frame: strike the sender and continue the round.
-			// Its swap receiver needs no release — workers ship their
-			// swap before their feedback, so it is already in flight.
+			// Corrupt frame: strike the sender and give up on everything
+			// routed through it. Its swap receiver needs no release —
+			// workers ship their swap before their feedback, so it is
+			// already in flight.
 			strikes := s.m.NoteCorrupt(from)
 			if s.roundTimeout <= 0 || strikes >= s.m.SuspectThreshold() {
 				s.m.Fail(from)
 			} else {
 				s.m.Suspect(from)
 			}
-			if failedSet == nil {
-				failedSet = make(map[string]bool)
-				canceled = make(map[string]bool)
+			s.noteReparented(r, from)
+			for _, n := range r.plan.Subtree(from) {
+				drop(n)
 			}
-			failedSet[from] = true
-			failed++
 			continue
 		}
-		if s.m.Reinstate(from) {
-			// Suspected at an earlier expiry this round, answered after
-			// all — the feedback still counts.
-			delete(s.probes, from)
-		}
-		r.feedbacks[from] = f
+		s.admit(r, from, ents)
+		// A consumed frame settles its sender either way, so a second
+		// frame from it is never merged.
+		drop(from)
 	}
 	return nil
 }
 
-// collectTree is collect for a round with an aggregation plan: instead
-// of one feedback frame per worker, the server ingests one aggregate
-// frame per DIRECT child — fan-in-bounded ingress, the scaling win of
-// the tree — and accounts every contributor named inside. Completion
-// still covers every dispatched worker: contributors arrive, or their
-// subtree fails, or the deadline machinery gives up on them exactly
-// like the flat path (timeout strikes, suspect escalation, quorum on
-// the contributor count). A corrupt aggregate strikes its sender and
-// fails everything routed through it; a suspect or corrupt aggregator
-// additionally charges its direct children a reparent.
-func (s *server) collectTree(r *round) error {
-	if len(r.sent) == 0 {
-		return nil
+// pending reports whether name was dispatched to this round and has
+// neither arrived nor been given up on.
+func (r *round) pending(name string) bool {
+	return r.sent[name] && !r.failed[name] && !r.got[name]
+}
+
+// expects reports whether msg is the frame this round still awaits
+// from a direct child of the server: msgFeedback from a childless one,
+// a current-round msgAgg from an aggregator.
+func (r *round) expects(msg simnet.Message) bool {
+	from := msg.From
+	if r.plan.Parent[from] != serverName || !r.pending(from) {
+		return false
 	}
-	if r.acctGot == nil {
-		r.acctGot = make(map[string]bool)
+	if len(r.plan.Children[from]) == 0 {
+		return msg.Type == msgFeedback
 	}
-	if r.aggEnts == nil {
-		r.aggEnts = make(map[string][]aggEntry)
-	}
-	// Workers whose planned route died at dispatch are failed from the
-	// start (preFailSubtree); collect never waits for them.
-	failed := 0
-	var failedSet, canceled map[string]bool
-	if len(r.preFailed) > 0 {
-		failedSet = make(map[string]bool, len(r.preFailed))
-		for name := range r.preFailed {
-			if r.sent[name] {
-				failedSet[name] = true
-				failed++
-			}
-		}
-	}
-	inbox := s.net.Inbox(serverName)
-	var timer *time.Timer
-	var deadline <-chan time.Time
-	if s.roundTimeout > 0 {
-		timer = time.NewTimer(s.roundTimeout)
-		defer timer.Stop()
-		deadline = timer.C
-	}
-	for len(r.acctGot)+failed < len(r.sent) {
-		var msg simnet.Message
-		var ok bool
-		if deadline == nil {
-			msg, ok = <-inbox
-		} else {
-			select {
-			case msg, ok = <-inbox:
-			case <-deadline:
-				if failedSet == nil {
-					failedSet = make(map[string]bool)
-				}
-				if canceled == nil {
-					canceled = make(map[string]bool)
-				}
-				for _, name := range r.active {
-					if !r.sent[name] || failedSet[name] || r.acctGot[name] {
-						continue
-					}
-					s.m.NoteTimeout(name)
-					demoted := s.m.Suspect(name)
-					if !canceled[name] {
-						canceled[name] = true
-						s.cancelSwap(r, name)
-					}
-					// A missing aggregator strands its direct children's
-					// only route to the server; the next plan rehomes
-					// them.
-					if r.plan.IsAggregator(name) {
-						s.noteReparented(r, name)
-					}
-					if demoted {
-						failedSet[name] = true
-						failed++
-					}
-				}
-				quorum := s.quorum
-				if quorum < 1 {
-					quorum = 1
-				}
-				if len(r.acctGot) >= quorum {
-					for _, name := range r.active {
-						if !r.sent[name] || failedSet[name] || r.acctGot[name] {
-							continue
-						}
-						failedSet[name] = true
-						failed++
-					}
-				} else {
-					timer.Reset(s.roundTimeout)
-				}
-				continue
-			}
-		}
-		if !ok {
-			return fmt.Errorf("core: server inbox closed")
-		}
-		switch msg.Type {
-		case msgPong, msgFeedback:
-			// A pong — or a stray flat-style feedback — is evidence of
-			// life, never a tree contribution.
-			if s.m.Reinstate(msg.From) {
-				delete(s.probes, msg.From)
-			}
-			continue
-		case msgAgg:
-		default:
-			continue
-		}
-		from := msg.From
-		// Only this round's direct children feed the server.
-		if r.plan.Parent[from] != serverName || !r.sent[from] || failedSet[from] {
-			if s.m.Reinstate(from) {
-				delete(s.probes, from)
-			}
-			continue
-		}
-		if _, dup := r.aggEnts[from]; dup {
-			continue
-		}
-		if rt, tagged := aggRound(msg.Payload); tagged && rt != r.it {
-			// A straggler from an earlier round (quorum moved on without
-			// it): evidence of life, not a contribution.
-			if s.m.Reinstate(from) {
-				delete(s.probes, from)
-			}
-			continue
-		}
-		var ents []aggEntry
-		_, err := decodeAggInto(msg.Payload, r.shape, func(gIdx int, contribs []string, sum *tensor.Tensor) error {
-			if gIdx >= r.k {
-				return fmt.Errorf("core: aggregate batch index %d out of range", gIdx)
-			}
-			ents = append(ents, aggEntry{
-				GIdx:     gIdx,
-				Contribs: append([]string(nil), contribs...),
-				Sum:      sum,
-			})
-			return nil
-		})
+	rt, tagged := aggRound(msg.Payload)
+	return msg.Type == msgAgg && (!tagged || rt == r.it)
+}
+
+// decodeFrame parses a direct child's frame into its entries: a
+// msgFeedback is one entry whose only contributor is its sender. The
+// feedback shape bounds every tensor decode, every batch index must be
+// this round's, and where the server needs per-worker feedback an
+// entry naming several contributors is corrupt. Nothing is staged until
+// the whole frame decodes.
+func (s *server) decodeFrame(r *round, msg simnet.Message) ([]aggEntry, error) {
+	if msg.Type == msgFeedback {
+		f, err := decodeFeedbackAny(msg.Payload, r.shape)
 		if err != nil {
-			// Corrupt aggregate: strike the sender like a corrupt flat
-			// feedback, and give up on everything routed through it this
-			// round.
-			strikes := s.m.NoteCorrupt(from)
-			if s.roundTimeout <= 0 || strikes >= s.m.SuspectThreshold() {
-				s.m.Fail(from)
-			} else {
-				s.m.Suspect(from)
-			}
-			if r.plan.IsAggregator(from) {
-				s.noteReparented(r, from)
-			}
-			if failedSet == nil {
-				failedSet = make(map[string]bool)
-			}
-			for _, n := range r.plan.Subtree(from) {
-				if r.sent[n] && !failedSet[n] && !r.acctGot[n] {
-					failedSet[n] = true
-					failed++
-				}
-			}
-			continue
+			return nil, err
 		}
-		r.aggEnts[from] = ents
-		for _, e := range ents {
-			for _, name := range e.Contribs {
-				if !r.sent[name] || failedSet[name] || r.acctGot[name] {
-					continue
-				}
-				r.acctGot[name] = true
-				// A named contributor computed a feedback this round —
+		return []aggEntry{{GIdx: r.gIdx[msg.From], Contribs: []string{msg.From}, Sum: f}}, nil
+	}
+	var ents []aggEntry
+	_, err := decodeAggInto(msg.Payload, r.shape, func(gIdx int, contribs []string, sum *tensor.Tensor) error {
+		if gIdx >= r.k {
+			return fmt.Errorf("core: aggregate batch index %d out of range", gIdx)
+		}
+		if s.perWorker && len(contribs) > 1 {
+			return fmt.Errorf("core: pre-summed aggregate entry where per-worker feedback is required")
+		}
+		ents = append(ents, aggEntry{GIdx: gIdx, Contribs: append([]string(nil), contribs...), Sum: sum})
+		return nil
+	})
+	return ents, err
+}
+
+// admit accounts a decoded frame's entries. Only pending contributors
+// count, and an entry that names none is dropped — which also bounds
+// what a hostile frame can make the server hold to one entry per
+// dispatched worker. A single-contributor entry is that worker's
+// feedback (apply groups it by the batch route assigned the worker); a
+// pre-summed entry stays under its sender for apply's plan-order merge.
+func (s *server) admit(r *round, from string, ents []aggEntry) {
+	for _, e := range ents {
+		fresh := false
+		for _, name := range e.Contribs {
+			if r.pending(name) {
+				r.got[name] = true
+				fresh = true
+				// A contributor computed a feedback this round —
 				// evidence of life for a suspect.
-				if s.m.Reinstate(name) {
-					delete(s.probes, name)
-				}
+				s.reinstate(name)
 			}
+		}
+		switch {
+		case !fresh:
+		case len(e.Contribs) == 1:
+			r.feedbacks[e.Contribs[0]] = e.Sum
+		default:
+			r.sums[from] = append(r.sums[from], e)
 		}
 	}
-	return nil
+}
+
+// reinstate readmits a suspect on evidence of life, closing its probe.
+func (s *server) reinstate(name string) {
+	if s.m.Reinstate(name) {
+		delete(s.probes, name)
+	}
 }
 
 // tickProbes advances the suspect probe cycle at a round boundary: a
@@ -798,17 +672,13 @@ drain:
 				break drain
 			}
 			if msg.Type == msgPong || msg.Type == msgFeedback || msg.Type == msgAgg {
-				if s.m.Reinstate(msg.From) {
-					delete(s.probes, msg.From)
-				}
+				s.reinstate(msg.From)
 				if msg.Type == msgAgg {
 					// A stale aggregate carries evidence of life for
 					// every contributor it names, not just its sender.
 					if _, names, err := aggContribNames(msg.Payload, nil); err == nil {
 						for _, n := range names {
-							if s.m.Reinstate(n) {
-								delete(s.probes, n)
-							}
+							s.reinstate(n)
 						}
 					}
 				}
@@ -861,18 +731,24 @@ func (s *server) awaitRejoin() bool {
 	}
 }
 
-// apply merges the feedbacks per generated batch and backpropagates
-// through G. Grouping follows worker index order so the result is
-// independent of message arrival order. The per-group merge applies the
-// configured aggregation rule (mean = the paper's §IV-B2 averaging;
-// median/trimmed = §VII.3 robustness); the group result is weighted by
-// groupSize/received to keep the global 1/N scaling. A round with no
-// feedbacks (every dispatch failed) applies no update.
+// apply merges the round's contributions per generated batch and
+// backpropagates through G. Per-worker feedbacks are grouped in worker
+// index order so the result is independent of message arrival order.
+// The per-group merge applies the configured aggregation rule (mean =
+// the paper's §IV-B2 averaging; median/trimmed = §VII.3 robustness);
+// the group result is weighted by groupSize/received to keep the global
+// 1/N scaling. A mean tree's pre-summed entries then fold in at
+// 1/received each, in plan order — the same merged update up to
+// floating-point reassociation (TestTreeAggregationMatchesFlat pins the
+// tolerance). A round with no contributions (every dispatch failed)
+// applies no update.
 //
 // When the defense or the joiner warm-up assigns non-unit weights
 // (roundWeights != nil), the head-count scaling generalises to weight
 // mass: each group aggregates as a weighted mean and contributes its
-// share of the total included weight. The nil-weights branch is the
+// share of the total included weight. Both only run with per-worker
+// forwarding, so a weighted round holds no pre-summed entries. The
+// nil-weights branch over single-contributor groups is the
 // byte-identical legacy path the bitwise pin replays.
 //
 // The grouping slices, group gradients and aggregation scratch are all
@@ -880,11 +756,7 @@ func (s *server) awaitRejoin() bool {
 // to the workspace pool right after their backward pass — a
 // steady-state apply allocates nothing.
 func (s *server) apply(r *round) {
-	if r.plan != nil {
-		s.applyTree(r)
-		return
-	}
-	if len(r.feedbacks) == 0 {
+	if len(r.got) == 0 {
 		return
 	}
 	if cap(r.groupNames) < r.k {
@@ -900,7 +772,7 @@ func (s *server) apply(r *round) {
 	for _, name := range r.active {
 		f, ok := r.feedbacks[name]
 		if !ok {
-			continue // demoted mid-round
+			continue // demoted mid-round, or inside a pre-summed entry
 		}
 		j := r.gIdx[name]
 		r.groupNames[j] = append(r.groupNames[j], name)
@@ -912,14 +784,22 @@ func (s *server) apply(r *round) {
 	}
 	r.outGrads = r.outGrads[:r.k]
 	if weights == nil {
-		total := len(r.feedbacks)
+		total := float64(len(r.got))
 		for j, fs := range r.groupFeeds {
 			r.outGrads[j] = nil
 			if len(fs) == 0 {
 				continue
 			}
 			agg := aggregateFeedbacks(fs, s.aggregate, &s.aggSc)
-			r.outGrads[j] = agg.ScaleInPlace(float64(len(fs)) / float64(total))
+			r.outGrads[j] = agg.ScaleInPlace(float64(len(fs)) / total)
+		}
+		for _, c := range r.plan.Children[serverName] {
+			for _, e := range r.sums[c] {
+				if r.outGrads[e.GIdx] == nil {
+					r.outGrads[e.GIdx] = tensor.GetZeroed(r.shape...)
+				}
+				r.outGrads[e.GIdx].AxpyInPlace(1/total, e.Sum)
+			}
 		}
 	} else {
 		if cap(r.groupWs) < r.k {
@@ -1039,50 +919,6 @@ func (s *server) processRetirements(it int) {
 		})
 		s.m.Retire(name)
 		delete(s.joinedRound, name)
-	}
-}
-
-// applyTree merges the direct children's aggregate entries and
-// backpropagates through G. The per-batch gradient is the global
-// contribution SUM scaled by 1/received — exactly the flat path's
-// groupMean · groupSize/received decomposed (summing is associative),
-// so a tree round's update matches the flat round's within
-// floating-point reassociation (TestTreeAggregationMatchesFlat pins the
-// tolerance). Merge order is the plan's child order, never arrival
-// order, so the result is scheduling-independent; the running sums come
-// from the workspace pool and are recycled via the round accumulator.
-// Tree mode is restricted to AggMean (Train validates): a median over
-// pre-summed subtrees would not be the median over workers.
-func (s *server) applyTree(r *round) {
-	if len(r.acctGot) == 0 {
-		return
-	}
-	a := &r.agg
-	a.reset()
-	for _, c := range r.plan.Children[serverName] {
-		for _, e := range r.aggEnts[c] {
-			a.add(e.GIdx, e.Contribs, e.Sum)
-		}
-	}
-	total := float64(len(r.acctGot))
-	s.g.ZeroGrads()
-	for j := 0; j < r.k; j++ {
-		i, ok := a.byIdx[j]
-		if !ok {
-			continue
-		}
-		g := a.entries[i].Sum.ScaleInPlace(1 / total)
-		// Re-forward to restore layer caches for batch j (they were
-		// clobbered when batch j+1.. were generated).
-		s.g.Forward(r.zs[j], r.labs[j], true)
-		s.g.Backward(g)
-	}
-	s.optG.Step(s.g.Params())
-	s.updates++
-	a.reset()
-
-	if s.eval != nil && s.evalEvery > 0 && r.it%s.evalEvery == 0 {
-		s.eval(r.it, s.g)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -489,17 +490,17 @@ func TestMidRoundSendFailureWithSwapsReleasesReceiver(t *testing.T) {
 // deterministic way to drive Train down an error return path with a
 // caller-supplied transport. (A corrupt FEEDBACK no longer aborts the
 // run — see TestCorruptFeedbackDoesNotAbortRun — so the fatal path
-// must be driven from the dispatch side.)
+// must be driven from the dispatch side.) The counter is atomic:
+// simnet.BroadcastEach sends to every worker in parallel.
 type brokenNet struct {
 	simnet.Net
-	after int // fail batches sends once this many succeeded
-	sent  int
+	after int64 // fail batches sends once this many succeeded
+	sent  atomic.Int64
 }
 
 func (b *brokenNet) Send(msg simnet.Message) error {
 	if msg.Type == msgBatches {
-		b.sent++
-		if b.sent > b.after {
+		if b.sent.Add(1) > b.after {
 			return fmt.Errorf("injected transport failure")
 		}
 	}

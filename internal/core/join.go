@@ -73,12 +73,10 @@ func (s *server) processJoins(it int, spawn func(shard *dataset.Dataset) (*worke
 			}
 			if msg.Type == msgDParams && msg.From == donor {
 				params = msg.Payload
-			} else if msg.Type == msgPong || msg.Type == msgFeedback {
+			} else if msg.Type == msgPong || msg.Type == msgFeedback || msg.Type == msgAgg {
 				// Evidence of life from a probed suspect must not be
 				// silently discarded while we wait for the clone reply.
-				if s.m.Reinstate(msg.From) {
-					delete(s.probes, msg.From)
-				}
+				s.reinstate(msg.From)
 			}
 		}
 		// Hand the pre-trained discriminator to the joiner before it

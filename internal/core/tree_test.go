@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mdgan/internal/cluster"
+	"mdgan/internal/dataset"
 	"mdgan/internal/gan"
 	"mdgan/internal/simnet"
 	"mdgan/internal/tensor"
@@ -26,32 +27,56 @@ func treeConfig() Config {
 // sum/received, exactly the flat groupMean·groupSize/received
 // decomposed. Compared over a couple of iterations (reassociation
 // drift compounds chaotically through Adam beyond that) within
-// tensor.Tol.
+// tensor.Tol. At k=2 each aggregator's subtree holds two workers that
+// scored the same batch, so mean trees merge real partial sums; the
+// rules that score or weight individual workers — median aggregation,
+// the defense, the joiner warm-up — must instead see every worker's
+// own feedback through the aggregators' per-worker entries.
 func TestTreeAggregationMatchesFlat(t *testing.T) {
-	run := func(topo cluster.Topology, iters int) []float64 {
-		shards := ringShards(9, 96, 419)
-		cfg := baseConfig()
-		cfg.Iters = iters
-		cfg.K = 3
-		cfg.SwapEvery = 1
-		cfg.Topology = topo
-		res, err := Train(shards, gan.RingMLP(), cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.G.Net.ParamVector()
-	}
-	for _, iters := range []int{1, 2} {
-		flat := run(nil, iters)
-		tree := run(cluster.Tree{Depth: 2}, iters)
-		tol := tensor.Tol(1e-9, 2e-3)
-		for i := range flat {
-			scale := math.Max(1, math.Abs(flat[i]))
-			if d := math.Abs(flat[i] - tree[i]); d > tol*scale {
-				t.Fatalf("iters=%d param %d: tree %g vs flat %g (Δ=%g > %g)",
-					iters, i, tree[i], flat[i], d, tol*scale)
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"mean", func(*Config) {}},
+		{"median", func(c *Config) { c.Aggregate = AggMedian }},
+		{"defense", func(c *Config) { c.Defense = DefenseConfig{Enabled: true} }},
+		{"warmup", func(c *Config) {
+			c.JoinAt = map[int][]*dataset.Dataset{2: {dataset.GaussianRing(96, 8, 2.0, 0.05, 421)}}
+			c.JoinWarmup = 3
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(topo cluster.Topology, k, iters int) []float64 {
+				shards := ringShards(9, 96, 419)
+				cfg := baseConfig()
+				cfg.Iters = iters
+				cfg.K = k
+				cfg.SwapEvery = 1
+				cfg.Topology = topo
+				tc.mut(&cfg)
+				res, err := Train(shards, gan.RingMLP(), cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Iters != iters {
+					t.Fatalf("applied %d updates, want %d", res.Iters, iters)
+				}
+				return res.G.Net.ParamVector()
 			}
-		}
+			for _, k := range []int{2, 3} {
+				for _, iters := range []int{1, 2} {
+					flat, tree := run(nil, k, iters), run(cluster.Tree{Depth: 2}, k, iters)
+					tol := tensor.Tol(1e-9, 2e-3)
+					for i := range flat {
+						scale := math.Max(1, math.Abs(flat[i]))
+						if d := math.Abs(flat[i] - tree[i]); d > tol*scale {
+							t.Fatalf("k=%d iters=%d param %d: tree %g vs flat %g (Δ=%g > %g)",
+								k, iters, i, tree[i], flat[i], d, tol*scale)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -173,7 +198,7 @@ func TestTreeTrainExitPathsReapWorkers(t *testing.T) {
 }
 
 // TestTreeValidation: the tree composes with the synchronous engines
-// and mean aggregation only.
+// only, and with every aggregation rule.
 func TestTreeValidation(t *testing.T) {
 	shards := ringShards(4, 64, 461)
 	cfg := treeConfig()
@@ -183,8 +208,13 @@ func TestTreeValidation(t *testing.T) {
 	}
 	cfg = treeConfig()
 	cfg.Aggregate = AggMedian
-	if _, err := Train(shards, gan.RingMLP(), cfg, nil); err == nil {
-		t.Fatal("tree + median accepted")
+	cfg.Iters = 2
+	res, err := Train(shards, gan.RingMLP(), cfg, nil)
+	if err != nil {
+		t.Fatalf("tree + median rejected: %v", err)
+	}
+	if res.Iters != 2 {
+		t.Fatalf("tree + median applied %d updates, want 2", res.Iters)
 	}
 	// Flat topology is identity: it must NOT reject median.
 	cfg = baseConfig()

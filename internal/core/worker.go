@@ -65,7 +65,9 @@ type worker struct {
 	lastRound int
 
 	// agg accumulates this worker's aggregation round (own feedback +
-	// children's sums) when the topology plan names it a parent; its sum
+	// children's entries) when the topology plan names it a parent; its
+	// perWorker flag (Config.perWorkerFeedback) keeps every worker's
+	// feedback a separate entry instead of summing per batch. The entry
 	// tensors come from the workspace pool and are recycled each round.
 	agg aggAccum
 	// aggGot buffers raw child frames during collectChildren so the
@@ -258,7 +260,8 @@ func (w *worker) handleBatches(msg simnet.Message) bool {
 			return false
 		}
 	} else if bm.Parent == "" {
-		// Flat star: the legacy direct feedback frame to the server.
+		// A childless direct child of the server (every worker of the
+		// flat star): the plain feedback frame.
 		if err := w.net.Send(simnet.Message{
 			From: w.name, To: serverName, Type: msgFeedback,
 			Kind: simnet.WtoC, Payload: encodeFeedbackCompressed(fn, w.compress),
@@ -327,9 +330,9 @@ func (w *worker) sendAggregate(fn *tensor.Tensor) bool {
 			return nil
 		})
 	}
-	// An aggregator re-encodes SUMS: top-k of a sum would re-sparsify
-	// the children's already-lossy contributions, compounding the loss
-	// at every tree level, so the aggregate frame falls back to the
+	// An aggregator re-encodes its children's entries: top-k would
+	// re-sparsify their already-lossy contributions, compounding the
+	// loss at every tree level, so the aggregate frame falls back to the
 	// dense fp32 encoding. A leaf's single-contribution frame keeps the
 	// configured mode — same loss profile as the flat star.
 	mode := w.compress

@@ -112,13 +112,15 @@ func TestPreviewCacheDoesNotAliasGeneratorBuffer(t *testing.T) {
 	}
 	s.Release(x)
 
+	// Stop the replica goroutine so the generator may be driven from
+	// here. Close waits for it to exit, and it caches the preview after
+	// answering the batch, so only now is the cache sure to be filled.
+	s.Close()
 	s.previewMu.Lock()
 	snap := s.preview.Clone()
 	s.previewMu.Unlock()
 
-	// Stop the replica goroutine so the generator may be driven from
-	// here, then clobber its forward buffer directly.
-	s.Close()
+	// Clobber the generator's forward buffer directly.
 	g := s.replicas[0].g
 	rng := rand.New(rand.NewSource(1234))
 	z, lab := g.SampleZ(4, rng)

@@ -188,10 +188,29 @@ func (a *accounting) snapshot() Traffic {
 // ChannelNet is the in-process transport: one buffered channel per node.
 type ChannelNet struct {
 	mu      sync.Mutex
-	inboxes map[string]chan Message
+	inboxes map[string]*inbox
 	down    map[string]bool
 	acct    *accounting
 	buf     int
+}
+
+// inbox is one node's queue. A send and the crash that closes ch never
+// overlap (closing a channel while a send on it is in progress is a
+// data race): Send registers in sending under the net lock while the
+// node is up, and kill first closes dead — releasing any send parked on
+// a full queue — then waits the in-flight sends out before closing ch.
+type inbox struct {
+	ch      chan Message
+	dead    chan struct{}
+	sending sync.WaitGroup
+}
+
+// kill closes the inbox; the caller has already marked the node down
+// under the net lock, so no new send can register.
+func (b *inbox) kill() {
+	close(b.dead)
+	b.sending.Wait()
+	close(b.ch)
 }
 
 // NewChannelNet creates an in-process network. buf is the inbox buffer
@@ -202,7 +221,7 @@ func NewChannelNet(buf int) *ChannelNet {
 		buf = 1024
 	}
 	return &ChannelNet{
-		inboxes: make(map[string]chan Message),
+		inboxes: make(map[string]*inbox),
 		down:    make(map[string]bool),
 		acct:    newAccounting(),
 		buf:     buf,
@@ -216,33 +235,28 @@ func (n *ChannelNet) Register(node string) error {
 	if _, ok := n.inboxes[node]; ok {
 		return fmt.Errorf("simnet: node %q already registered", node)
 	}
-	n.inboxes[node] = make(chan Message, n.buf)
+	n.inboxes[node] = &inbox{ch: make(chan Message, n.buf), dead: make(chan struct{})}
 	return nil
 }
 
-// trySend delivers msg to ch, reporting false when the channel was
-// closed underneath it: a fail-stop Crash may close an inbox between
-// Send's liveness check and the send itself (the send cannot hold the
-// net lock — a full inbox would block Register/Crash/Snapshot). The
-// recover is scoped to exactly this one send so no other panic can be
-// misread as a crashed node.
-func trySend(ch chan Message, msg Message) (delivered bool) {
-	defer func() {
-		if recover() != nil {
-			delivered = false
-		}
-	}()
-	ch <- msg
-	return true
-}
-
-// Send implements Net.
+// Send implements Net. It does not hold the net lock while it waits on
+// a full inbox, which would block Register/Crash/Snapshot.
 func (n *ChannelNet) Send(msg Message) error {
 	n.mu.Lock()
-	ch, ok := n.inboxes[msg.To]
-	dead := n.down[msg.To]
+	box := n.inboxes[msg.To]
+	live := box != nil && !n.down[msg.To]
+	if live {
+		box.sending.Add(1)
+	}
 	n.mu.Unlock()
-	if !ok || dead || !trySend(ch, msg) {
+	if !live {
+		return fmt.Errorf("%w: %s", ErrNodeDown, msg.To)
+	}
+	select {
+	case box.ch <- msg:
+		box.sending.Done()
+	case <-box.dead:
+		box.sending.Done()
 		return fmt.Errorf("%w: %s", ErrNodeDown, msg.To)
 	}
 	n.acct.record(&msg)
@@ -253,7 +267,10 @@ func (n *ChannelNet) Send(msg Message) error {
 func (n *ChannelNet) Inbox(node string) <-chan Message {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.inboxes[node]
+	if box := n.inboxes[node]; box != nil {
+		return box.ch
+	}
+	return nil
 }
 
 // Crash implements Net.
@@ -264,8 +281,8 @@ func (n *ChannelNet) Crash(node string) {
 		return
 	}
 	n.down[node] = true
-	if ch, ok := n.inboxes[node]; ok {
-		close(ch)
+	if box, ok := n.inboxes[node]; ok {
+		box.kill()
 	}
 }
 
@@ -283,10 +300,10 @@ func (n *ChannelNet) Snapshot() Traffic { return n.acct.snapshot() }
 func (n *ChannelNet) Close() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for name, ch := range n.inboxes {
+	for name, box := range n.inboxes {
 		if !n.down[name] {
 			n.down[name] = true
-			close(ch)
+			box.kill()
 		}
 	}
 	return nil

@@ -128,6 +128,50 @@ func TestCrashFailStop(t *testing.T) {
 	}
 }
 
+// TestChannelNetCrashDuringSends: a Crash that lands while other
+// goroutines are sending to the victim — most of them parked on its
+// full one-slot inbox — must release every sender with ErrNodeDown and
+// close the inbox, and no send may overlap the close (which the race
+// detector reports).
+func TestChannelNetCrashDuringSends(t *testing.T) {
+	n := NewChannelNet(1)
+	defer n.Close()
+	for _, node := range []string{"C", "w1"} {
+		if err := n.Register(node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const senders = 8
+	errs := make(chan error, senders)
+	for i := 0; i < senders; i++ {
+		go func() {
+			for {
+				if err := n.Send(Message{From: "C", To: "w1", Kind: CtoW, Payload: []byte("x")}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	inbox := n.Inbox("w1")
+	for i := 0; i < 100; i++ {
+		<-inbox
+	}
+	n.Crash("w1")
+	for i := 0; i < senders; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrNodeDown) {
+				t.Fatalf("sender released with %v, want ErrNodeDown", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d senders still blocked after the crash", senders-i)
+		}
+	}
+	for range inbox {
+	}
+}
+
 func TestSendToUnknownNode(t *testing.T) {
 	n := NewChannelNet(0)
 	defer n.Close()

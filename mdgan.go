@@ -336,7 +336,7 @@ type Options struct {
 	FreeRiders map[int]ByzantineMode
 	// Defense enables the server-side feedback-quality defense
 	// (cross-round suspicion scoring → down-weighting → demotion).
-	// Synchronous flat-topology runs only.
+	// Synchronous runs only; composes with any Topology.
 	Defense bool
 	// DefenseTuning overrides the defense's default thresholds (nil
 	// keeps them). Ignored unless Defense is set.

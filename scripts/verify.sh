@@ -139,13 +139,16 @@ topology_gates() { # $1 = label, $2.. = go test args
     # sums are reassociation-equivalent to the flat mean, not bitwise),
     # plus the tree-specific fault paths: ingress reduction, aggregator
     # failure → leaf reparenting, goroutine reaping on every tree exit
-    # path, and the seeded chaos soak with a partitioned aggregator.
+    # path, the seeded chaos soak with a partitioned aggregator, and the
+    # per-worker-forwarding features (median, defense, warm-up) matched
+    # against the flat star and demoting free-riders under a tree.
     echo "== [$name] topology gates (tree:2) =="
     MDGAN_TOPOLOGY=tree:2 go test "$@" -count=1 \
         -run 'TestStrictEngineMatchesSerialReference' ./internal/core
     go test -race "$@" -count=1 \
         -run 'TestTreeAggregationMatchesFlat|TestTreeServerIngressReduction|TestAggregatorFailureReparentsChildren|TestTreeTrainExitPathsReapWorkers|TestChaosSoakTree' \
         ./internal/core
+    go test -race "$@" -count=1 -run 'TestDefenseDemotesFreeRiders/tree' ./internal/core
     go test "$@" -count=1 -run 'TestTreePlan|TestSubtree|TestParseTopology' ./internal/cluster
 }
 
