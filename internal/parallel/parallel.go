@@ -3,21 +3,23 @@
 // goroutines a kernel may use, so the policy (and its test hooks) live
 // here.
 //
-// Work is executed by a work-stealing scheduler. Each participating
-// goroutine — a persistent pool worker, or any goroutine that submits a
-// region — owns a deque of tasks. A task is one contiguous index range
-// (lo, hi, fn) of a parallel region; executing a task first splits it
-// recursively (push the upper half, keep the lower) until it reaches
-// the region's grain, so large ranges become stealable halves while the
-// owner keeps working on cache-adjacent indices. Idle workers steal
-// half of a victim's deque at a time (oldest tasks first — the biggest
-// ranges).
+// Work is executed by a work-stealing scheduler. Each pool worker and
+// each open region owns a deque of tasks: a persistent pool worker keeps
+// its deque for life, and a fanned-out region takes a pooled one for its
+// duration, so no goroutine identity is ever looked up. A task is one
+// contiguous index range (lo, hi, fn) of a parallel region; executing a
+// task first splits it recursively (push the upper half, keep the
+// lower) until it reaches the region's grain, so large ranges become
+// stealable halves while the owner keeps working on cache-adjacent
+// indices. Idle workers steal half of a victim's deque at a time
+// (oldest tasks first — the biggest ranges).
 //
 // Regions compose: a For reached from inside another For's loop body
 // submits its subtasks to the same scheduler and then *helps* — the
-// blocked goroutine executes tasks from its own deque first (its
-// freshly pushed subtasks, LIFO), then steals, until its region has
-// completed. Nothing ever parks while it still owes work, which makes
+// blocked goroutine executes tasks from its region's deque first (its
+// freshly pushed subtasks, LIFO), then steals from every other deque,
+// the deques of the regions it is nested in included, until its region
+// has completed. Nothing ever parks while it still owes work, which makes
 // arbitrarily nested regions and concurrently submitted regions (one
 // per simulated MD-GAN worker) deadlock-free without the old
 // single-flight guard that serialised them.
@@ -206,9 +208,13 @@ func (d *deque) stealHalfInto(dst *deque, scratch *[]task) (task, bool) {
 	return t, true
 }
 
-// wctx is the scheduling context of one goroutine participating in the
-// scheduler: a pool worker for its whole life, or any submitting
-// goroutine for the duration of its outermost region.
+// wctx is a scheduling context: a deque plus the steal state of
+// whoever drives it. A pool worker owns one for its whole life; every
+// fanned-out region takes one from helperPool for its duration, so a
+// goroutine nested in several regions drives one context per level and
+// only the innermost is active. Only the driving goroutine pushes into
+// a context's deque, so the deques of the suspended outer levels can
+// only shrink (by thieves, the nested level's own sweep included).
 type wctx struct {
 	dq       deque
 	stealBuf []task
@@ -226,8 +232,6 @@ func (w *wctx) nextRand() uint64 {
 }
 
 var (
-	// ctxs maps goroutine id → *wctx for every participating goroutine.
-	ctxs sync.Map
 	// victims lists every deque a thief may steal from.
 	victims struct {
 		mu   sync.RWMutex
@@ -242,15 +246,18 @@ func addVictim(w *wctx) {
 	victims.mu.Unlock()
 }
 
+// removeVictim swap-removes w in place, so a region submission
+// allocates nothing: steal reads the list only under the read lock, so
+// no thief can observe the shuffle.
 func removeVictim(w *wctx) {
 	victims.mu.Lock()
 	l := victims.list
 	for i, v := range l {
 		if v == w {
-			nl := make([]*wctx, 0, len(l)-1)
-			nl = append(nl, l[:i]...)
-			nl = append(nl, l[i+1:]...)
-			victims.list = nl
+			last := len(l) - 1
+			l[i] = l[last]
+			l[last] = nil
+			victims.list = l[:last]
 			break
 		}
 	}
@@ -370,11 +377,7 @@ func ensurePool() {
 		w := &wctx{rnd: poolSeq*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D}
 		addVictim(w)
 		poolLive.Add(1)
-		go func() {
-			id := goid()
-			ctxs.Store(id, w)
-			w.loop(id)
-		}()
+		go w.loop()
 	}
 	// Shrinking: wake enough parked workers for the excess to notice.
 	for i := want; i < cur; i++ {
@@ -393,7 +396,7 @@ func ensurePool() {
 // after the grow counted it, and leave the pool permanently below
 // target behind ensurePool's fast path. The lock-free load pair keeps
 // the steady-state idle loop cheap.
-func (w *wctx) poolExit(id uint64) bool {
+func (w *wctx) poolExit() bool {
 	if poolLive.Load() <= poolTarget.Load() {
 		return false
 	}
@@ -404,7 +407,6 @@ func (w *wctx) poolExit(id uint64) bool {
 	}
 	poolLive.Add(-1)
 	removeVictim(w)
-	ctxs.Delete(id)
 	return true
 }
 
@@ -415,7 +417,7 @@ func (w *wctx) poolExit(id uint64) bool {
 // enqueued concurrently with parking is never lost. An idle worker
 // retires when the pool target shrank below the live count; its deque
 // is empty at that point (pop just failed), so no task is stranded.
-func (w *wctx) loop(id uint64) {
+func (w *wctx) loop() {
 	for {
 		if t, ok := w.dq.pop(); ok {
 			w.runTask(t)
@@ -425,7 +427,7 @@ func (w *wctx) loop(id uint64) {
 			w.runTask(t)
 			continue
 		}
-		if w.poolExit(id) {
+		if w.poolExit() {
 			return
 		}
 		sleepers.Add(1)
@@ -439,34 +441,28 @@ func (w *wctx) loop(id uint64) {
 	}
 }
 
-// ctx returns the calling goroutine's scheduling context, creating and
-// registering a helper context when the goroutine has none. top reports
-// whether the caller owns (and must release) the context.
-func ctx() (w *wctx, id uint64, top bool) {
-	id = goid()
-	if v, ok := ctxs.Load(id); ok {
-		return v.(*wctx), id, false
-	}
-	w = helperPool.Get().(*wctx)
-	ctxs.Store(id, w)
+// ctx returns a scheduling context for one region: a pooled context,
+// registered as a steal victim until release.
+func ctx() *wctx {
+	w := helperPool.Get().(*wctx)
 	addVictim(w)
-	return w, id, true
+	return w
 }
 
-// helperPool recycles helper contexts across outermost regions: the
-// deque and steal buffers keep their capacity, so a goroutine that
-// repeatedly submits regions (every training iteration does) stops
-// allocating them after warm-up. A pooled wctx is safe to hand to
-// another goroutine: release drained its deque and deregistered it
+// helperPool recycles region contexts: the deque and steal buffers keep
+// their capacity, so steady-state region submission (thousands per
+// training iteration) allocates nothing. A pooled wctx is safe to hand
+// to another goroutine: release drained its deque and deregistered it
 // before the Put, so no thief can still reach it.
 var helperPool = sync.Pool{New: func() any {
 	return &wctx{rnd: helperSeed.Add(0x9E3779B97F4A7C15) | 1}
 }}
 
-// release drains any leftover stolen tasks and deregisters a helper
-// context. The deque must be drained before deregistering: it may hold
-// tasks of other regions batched in by this goroutine's own steals.
-func (w *wctx) release(id uint64) {
+// release drains any leftover stolen tasks, deregisters a region's
+// context and returns it to helperPool. The deque must be drained before
+// deregistering: it may hold tasks of other regions batched in by this
+// context's own steals.
+func (w *wctx) release() {
 	for {
 		t, ok := w.dq.pop()
 		if !ok {
@@ -475,14 +471,13 @@ func (w *wctx) release(id uint64) {
 		w.runTask(t)
 	}
 	removeVictim(w)
-	ctxs.Delete(id)
 	helperPool.Put(w)
 }
 
 // runRegion executes fn over [0, n) with the given split grain on the
 // work-stealing scheduler, returning when every index has executed.
 func runRegion(n, grain int, fn Ranger) {
-	w, id, top := ctx()
+	w := ctx()
 	r := regionPool.Get().(*region)
 	r.fn, r.grain = fn, grain
 	r.pending.Store(int64(n))
@@ -496,7 +491,9 @@ func runRegion(n, grain int, fn Ranger) {
 	// under mu pairs with the completion broadcast under the same mu, so
 	// the wakeup cannot be lost; the outer loop absorbs spurious wakes
 	// (including stray broadcasts from a previous life of the pooled
-	// region).
+	// region). The deques of the regions this goroutine is nested in are
+	// victims of the sweep like any other, and nothing refills them while
+	// this level runs, so a parked goroutine strands no task at any level.
 	for r.pending.Load() > 0 {
 		if t, ok := w.dq.pop(); ok {
 			w.runTask(t)
@@ -519,9 +516,7 @@ func runRegion(n, grain int, fn Ranger) {
 		}
 		r.mu.Unlock()
 	}
-	if top {
-		w.release(id)
-	}
+	w.release()
 	// The final pending decrement happened-before the loop exit, so the
 	// panic record (written before that decrement) is visible here.
 	panicked, pv := r.panicked, r.panicV
@@ -644,24 +639,4 @@ func Serial(fn func()) {
 	serialDepth.Add(1)
 	defer serialDepth.Add(-1)
 	fn()
-}
-
-// goid returns the runtime id of the calling goroutine, parsed from the
-// stack header ("goroutine 123 [running]:"). It is the only
-// goroutine-identity primitive the runtime exposes without unsafe; the
-// cost (~1µs) is paid once per fanned-out region, never on inline
-// paths.
-func goid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id uint64
-	for i := prefix; i < n; i++ {
-		c := buf[i]
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
 }

@@ -198,3 +198,47 @@ func TestConcurrentRegionsDoNotDeadlock(t *testing.T) {
 		t.Fatalf("covered %d iterations, want %d", total, 16*50*100)
 	}
 }
+
+// countRanger is a pointer Ranger: it converts to the interface without
+// allocating, like the pooled kernel bodies (tensor's gemmRun).
+type countRanger struct {
+	units, chunks atomic.Int64
+}
+
+func (c *countRanger) Range(lo, hi int) {
+	c.units.Add(int64(hi - lo))
+	c.chunks.Add(1)
+}
+
+// TestRegionSubmissionAllocatesNothing: a steady-state fanned-out
+// region submitted from a goroutine outside the pool, with a pooled
+// pointer Ranger, performs no heap allocation. Its context, region and
+// victim-list slot all come from pools or reused capacity.
+func TestRegionSubmissionAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random")
+	}
+	prev := runtime.GOMAXPROCS(4)
+	SetMaxProcs(4)
+	defer func() {
+		runtime.GOMAXPROCS(prev)
+		SetMaxProcs(0)
+	}()
+	const n, grain = 4096, 64
+	r := &countRanger{}
+	for i := 0; i < 10; i++ {
+		ForGrainRanger(n, grain, r) // warm the pools
+	}
+	r.chunks.Store(0)
+	r.units.Store(0)
+	allocs := testing.AllocsPerRun(50, func() { ForGrainRanger(n, grain, r) })
+	if got := r.units.Load(); got != 51*n {
+		t.Fatalf("covered %d index units, want %d", got, 51*n)
+	}
+	if r.chunks.Load() <= 51 {
+		t.Fatalf("regions ran as %d chunks over 51 calls: not fanned out", r.chunks.Load())
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state region submission allocates %v times, want 0", allocs)
+	}
+}

@@ -48,17 +48,22 @@ func TestConcurrentRegionsCompose(t *testing.T) {
 
 	aStarted := make(chan struct{})
 	release := make(chan struct{})
-	var hold sync.Once
+	var held atomic.Bool
 	var aChunks, bChunks atomic.Int32
 	aDone := make(chan struct{})
 	go func() {
 		defer close(aDone)
 		ForceFor(8, func(s, e int) {
 			aChunks.Add(1)
-			hold.Do(func() {
+			// Only the first body holds region A open; the others return
+			// at once. They must not wait for it: the test goroutine,
+			// helping region B, may run them, and it releases A only
+			// after B returns (bodies must not block on another region's
+			// progress; see the package doc).
+			if held.CompareAndSwap(false, true) {
 				close(aStarted)
 				<-release // keep region A open
-			})
+			}
 		})
 	}()
 	<-aStarted

@@ -327,30 +327,64 @@ func packBStrided(dst []Elem, b []Elem, rs, cs, n, k0, k1, j0, nr int) {
 		return
 	}
 	if rs == 1 {
-		// B is a stored transpose (a·bᵀ): each logical column is a
-		// contiguous source run, written with stride nr.
-		for j := 0; j < jn; j++ {
-			src := b[(j0+j)*cs+k0 : (j0+j)*cs+k1]
-			o := j
-			for _, v := range src {
-				dst[o] = v
-				o += nr
-			}
-		}
-	} else {
-		for j := 0; j < jn; j++ {
-			o := j
-			for kk := k0; kk < k1; kk++ {
-				dst[o] = b[kk*rs+(j0+j)*cs]
-				o += nr
-			}
-		}
+		packBTransposed(dst, b, cs, k0, k1, j0, jn, nr)
+		return
 	}
-	for j := jn; j < nr; j++ {
-		o := j
-		for kk := k0; kk < k1; kk++ {
-			dst[o] = 0
-			o += nr
+	for kk := k0; kk < k1; kk++ {
+		row := dst[(kk-k0)*nr : (kk-k0)*nr+nr]
+		for j := range row[:jn] {
+			row[j] = b[kk*rs+(j0+j)*cs]
+		}
+		clear(row[jn:])
+	}
+}
+
+// packBTransposed packs a panel of a stored transpose (a·bᵀ, every
+// MatMulT2 and so every Dense backward): logical column j is the
+// contiguous source run b[j*cs+k0 : j*cs+k1]. Full panels at the live
+// tile widths read their nr source runs side by side and write each
+// packed k row contiguously, the way packAPanels interleaves A rows;
+// ragged edge panels take the generic row loop.
+func packBTransposed(dst []Elem, b []Elem, cs, k0, k1, j0, jn, nr int) {
+	kc := k1 - k0
+	col := func(j int) []Elem { return b[(j0+j)*cs+k0 : (j0+j)*cs+k1][:kc] }
+	switch {
+	case jn == 4 && nr == 4:
+		c0, c1, c2, c3 := col(0), col(1), col(2), col(3)
+		dst = dst[:kc*4]
+		for kk, v := range c0 {
+			row := dst[kk*4 : kk*4+4 : kk*4+4]
+			row[0], row[1], row[2], row[3] = v, c1[kk], c2[kk], c3[kk]
+		}
+	case jn == 8 && nr == 8:
+		c0, c1, c2, c3 := col(0), col(1), col(2), col(3)
+		c4, c5, c6, c7 := col(4), col(5), col(6), col(7)
+		dst = dst[:kc*8]
+		for kk, v := range c0 {
+			row := dst[kk*8 : kk*8+8 : kk*8+8]
+			row[0], row[1], row[2], row[3] = v, c1[kk], c2[kk], c3[kk]
+			row[4], row[5], row[6], row[7] = c4[kk], c5[kk], c6[kk], c7[kk]
+		}
+	case jn == 16 && nr == 16:
+		c0, c1, c2, c3 := col(0), col(1), col(2), col(3)
+		c4, c5, c6, c7 := col(4), col(5), col(6), col(7)
+		c8, c9, c10, c11 := col(8), col(9), col(10), col(11)
+		c12, c13, c14, c15 := col(12), col(13), col(14), col(15)
+		dst = dst[:kc*16]
+		for kk, v := range c0 {
+			row := dst[kk*16 : kk*16+16 : kk*16+16]
+			row[0], row[1], row[2], row[3] = v, c1[kk], c2[kk], c3[kk]
+			row[4], row[5], row[6], row[7] = c4[kk], c5[kk], c6[kk], c7[kk]
+			row[8], row[9], row[10], row[11] = c8[kk], c9[kk], c10[kk], c11[kk]
+			row[12], row[13], row[14], row[15] = c12[kk], c13[kk], c14[kk], c15[kk]
+		}
+	default:
+		for kk := 0; kk < kc; kk++ {
+			row := dst[kk*nr : kk*nr+nr]
+			for j := range row[:jn] {
+				row[j] = b[(j0+j)*cs+k0+kk]
+			}
+			clear(row[jn:])
 		}
 	}
 }

@@ -318,6 +318,53 @@ func TestMatMulPackedMatchesMaterialized(t *testing.T) {
 	})
 }
 
+// TestPackBStridedMatchesNaive compares the B panel packer with an
+// element-by-element reference for every stored layout it serves —
+// row-major (cs == 1), stored transpose (rs == 1) and a general strided
+// view — at both live panel widths of the compiled dtype, on full and
+// ragged panels and on k sub-ranges that start past zero.
+func TestPackBStridedMatchesNaive(t *testing.T) {
+	const k, n = 37, 2*gemmNR512 + 3 // every nr sees full panels and a ragged one
+	layouts := []struct {
+		name   string
+		rs, cs int
+	}{
+		{"row-major", n, 1},
+		{"transposed", 1, k},
+		{"strided", 3, 3*k + 1},
+	}
+	for _, ly := range layouts {
+		b := make([]Elem, (k-1)*ly.rs+(n-1)*ly.cs+1)
+		for i := range b {
+			b[i] = Elem(i + 1)
+		}
+		for _, nr := range []int{gemmNRBase, gemmNR512} {
+			for _, kr := range [][2]int{{0, k}, {5, 29}, {k - 1, k}} {
+				k0, k1 := kr[0], kr[1]
+				for j0 := 0; j0 < n; j0 += nr {
+					got := make([]Elem, (k1-k0)*nr)
+					for i := range got {
+						got[i] = -1 // every slot must be written
+					}
+					packBStrided(got, b, ly.rs, ly.cs, n, k0, k1, j0, nr)
+					for kk := k0; kk < k1; kk++ {
+						for j := 0; j < nr; j++ {
+							var want Elem
+							if j0+j < n {
+								want = b[kk*ly.rs+(j0+j)*ly.cs]
+							}
+							if g := got[(kk-k0)*nr+j]; g != want {
+								t.Fatalf("%s nr=%d k=[%d,%d) j0=%d: packed[%d][%d] = %v, want %v",
+									ly.name, nr, k0, k1, j0, kk-k0, j, g, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestGemmSteadyStateAllocs pins the pack buffers to the workspace
 // pool: the steady-state allocation count of a packed matmul must be a
 // small constant (the parallel-region closures) and must not grow with
@@ -347,11 +394,10 @@ func TestGemmSteadyStateAllocs(t *testing.T) {
 
 // TestGemmParallelSteadyStateAllocs pins the fanned-out run-state: with
 // GOMAXPROCS>1 a packed matmul submits real parallel regions, and the
-// pooled gemmRun, the pooled scheduler regions and helper contexts, and
-// the pooled pack buffers must keep the steady state at a small
-// constant (goroutine-id registration in the scheduler's sync.Map is
-// the only remaining per-region cost; zero run-state allocations per
-// se). ×2 under -race per the established convention.
+// pooled gemmRun, the pooled scheduler regions and region contexts, and
+// the pooled pack buffers keep the steady state allocation-free (0
+// measured; the budget leaves a margin for a sporadic pool refill after
+// a GC). The race build keeps its own, looser budget.
 func TestGemmParallelSteadyStateAllocs(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(4)
 	parallel.SetMaxProcs(4)
@@ -367,7 +413,7 @@ func TestGemmParallelSteadyStateAllocs(t *testing.T) {
 		MatMulInto(out, a, b) // warm pools across the worker set
 	}
 	allocs := testing.AllocsPerRun(20, func() { MatMulInto(out, a, b) })
-	budget := 12.0
+	budget := 2.0
 	if raceEnabled {
 		// The race-mode sync.Pool fakes misses at random, and a fanned-
 		// out matmul cycles several pooled objects per region (gemmRun,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // Serialisation uses a small explicit binary framing (dtype byte, shape
@@ -95,13 +96,24 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 // and the constant itself fits a 32-bit int.
 const maxDecodeVol = 1 << 30
 
+// decodeScratch is the staging of one decode: chunk holds the header
+// words, then the payload chunk by chunk, and shape the decoded dims.
+// Any buffer handed to an io.Reader (or to fmt) escapes to the heap, so
+// stack arrays here would cost 8 KiB of garbage per decoded tensor; the
+// pool makes steady-state decoding allocation-free.
+type decodeScratch struct {
+	chunk [8192]byte // divisible by both element widths
+	shape [8]int
+}
+
+var decodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
 // readHeader parses the dtype/rank/dims framing, returning the wire
-// dtype, the shape (decoded into shapeBuf when its capacity suffices)
-// and the volume. A first byte in 1..8 selects the legacy pre-dtype
-// framing: the byte is the low byte of the rank word and the payload is
-// float64.
-func readHeader(r io.Reader, shapeBuf []int) (dt byte, shape []int, vol int, read int64, err error) {
-	var hdr [4]byte
+// dtype, the shape (decoded into sc.shape) and the volume. A first byte
+// in 1..8 selects the legacy pre-dtype framing: the byte is the low
+// byte of the rank word and the payload is float64.
+func readHeader(r io.Reader, sc *decodeScratch) (dt byte, shape []int, vol int, read int64, err error) {
+	hdr := sc.chunk[:4]
 	if _, err = io.ReadFull(r, hdr[:1]); err != nil {
 		return 0, nil, 0, 0, fmt.Errorf("tensor: read dtype: %w", err)
 	}
@@ -122,16 +134,16 @@ func readHeader(r io.Reader, shapeBuf []int) (dt byte, shape []int, vol int, rea
 		}
 		read += 3
 	}
-	rank := int(binary.LittleEndian.Uint32(hdr[:]))
+	rank := int(binary.LittleEndian.Uint32(hdr))
 	if rank <= 0 || rank > 8 {
 		return 0, nil, 0, read, fmt.Errorf("tensor: implausible rank %d", rank)
 	}
-	var dims [32]byte
+	dims := sc.chunk[4 : 4+32]
 	if _, err = io.ReadFull(r, dims[:4*rank]); err != nil {
 		return 0, nil, 0, read, fmt.Errorf("tensor: read dims: %w", err)
 	}
 	read += int64(4 * rank)
-	shape = shapeBuf[:0]
+	shape = sc.shape[:0]
 	vol = 1
 	for i := 0; i < rank; i++ {
 		d := int(binary.LittleEndian.Uint32(dims[4*i:]))
@@ -148,11 +160,11 @@ func readHeader(r io.Reader, shapeBuf []int) (dt byte, shape []int, vol int, rea
 }
 
 // readPayload streams len(data) elements of wire dtype dt from r into
-// data using a fixed stack chunk, converting to the compiled element
+// data through the pooled sc.chunk, converting to the compiled element
 // width and avoiding a payload-sized byte scratch.
-func readPayload(r io.Reader, data []Elem, dt byte) (int64, error) {
+func readPayload(r io.Reader, data []Elem, dt byte, sc *decodeScratch) (int64, error) {
 	es := dtypeSize(dt)
-	var chunk [8192]byte // divisible by both element widths
+	chunk := sc.chunk[:]
 	read := int64(0)
 	for off := 0; off < len(data); {
 		want := (len(data) - off) * es
@@ -184,10 +196,11 @@ func readPayload(r io.Reader, data []Elem, dt byte) (int64, error) {
 // decoding repeatedly into the same tensor reaches a steady state with
 // no allocation. It implements io.ReaderFrom.
 func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
-	// Decode the header into a local scratch so a mid-header error
-	// cannot leave t with a half-updated shape.
-	var shapeBuf [8]int
-	dt, shape, vol, read, err := readHeader(r, shapeBuf[:0])
+	// Decode the header into the scratch so a mid-header error cannot
+	// leave t with a half-updated shape.
+	sc := decodeScratchPool.Get().(*decodeScratch)
+	defer decodeScratchPool.Put(sc)
+	dt, shape, vol, read, err := readHeader(r, sc)
 	if err != nil {
 		return read, err
 	}
@@ -203,7 +216,7 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	} else {
 		t.Data = make([]Elem, vol)
 	}
-	n, err := readPayload(r, t.Data, dt)
+	n, err := readPayload(r, t.Data, dt, sc)
 	read += n
 	if err != nil {
 		return read, err
@@ -216,8 +229,9 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 // primitive: a worker adopting a peer's discriminator decodes every
 // parameter straight into its own storage.
 func (t *Tensor) ReadInPlace(r io.Reader) (int64, error) {
-	var shapeBuf [8]int
-	dt, shape, vol, read, err := readHeader(r, shapeBuf[:0])
+	sc := decodeScratchPool.Get().(*decodeScratch)
+	defer decodeScratchPool.Put(sc)
+	dt, shape, vol, read, err := readHeader(r, sc)
 	if err != nil {
 		return read, err
 	}
@@ -230,7 +244,7 @@ func (t *Tensor) ReadInPlace(r io.Reader) (int64, error) {
 		}
 	}
 	_ = vol
-	n, err := readPayload(r, t.Data, dt)
+	n, err := readPayload(r, t.Data, dt, sc)
 	read += n
 	return read, err
 }

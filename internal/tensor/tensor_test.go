@@ -283,6 +283,36 @@ func TestSerializationRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadInPlaceSteadyStateAllocs: decoding a frame from an in-memory
+// *bytes.Reader into an existing tensor allocates nothing. The payload
+// spans several decode chunks, and the header and chunk buffers (which
+// escape through the io.Reader interface) come from a pool.
+func TestReadInPlaceSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x := randTensor(rng, 48, 100) // > 8 KiB of payload at either width
+	frame := x.AppendBinary(nil)
+	y := New(48, 100)
+	var br bytes.Reader
+	decode := func() {
+		br.Reset(frame)
+		if _, err := y.ReadInPlace(&br); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if !x.Equal(y, 0) {
+		t.Fatal("ReadInPlace round trip not bit-exact")
+	}
+	allocs := testing.AllocsPerRun(50, decode)
+	budget := 0.0
+	if raceEnabled {
+		budget = 1 // sporadic pool misses under the race detector
+	}
+	if allocs > budget {
+		t.Fatalf("steady-state ReadInPlace allocates %v times, budget %v", allocs, budget)
+	}
+}
+
 // Property: MatMul is distributive over addition, (a+b)·c == a·c + b·c.
 func TestMatMulDistributiveProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -95,6 +95,12 @@ run_suite() { # $1 = dtype name, $2 = go build tags ("" for none)
     # both element widths.
     go test -race ${tagargs[@]+"${tagargs[@]}"} ./...
 
+    echo "== [$name] scheduler race soak (-race -count=20) =="
+    # A fixed-count soak of the work-stealing scheduler, never retried:
+    # the deque ownership rules (a deque per pool worker and per open
+    # region) must hold on every one of the 20 runs, not on most.
+    go test -race ${tagargs[@]+"${tagargs[@]}"} -count=20 ./internal/parallel
+
     engine_gates "$name" ${tagargs[@]+"${tagargs[@]}"}
     # The same gates under every kernel tier the host can force: the
     # strict-engine pin must hold for every micro-kernel the binary can
@@ -105,9 +111,11 @@ run_suite() { # $1 = dtype name, $2 = go build tags ("" for none)
     for kern in $(go run ${tagargs[@]+"${tagargs[@]}"} ./cmd/mdgan-bench -list-kernels); do
         MDGAN_GEMM_KERNEL=$kern engine_gates "$name/kernel=$kern" ${tagargs[@]+"${tagargs[@]}"}
     done
-    # And once with GOMAXPROCS=4: one GEMM call then fans out across
-    # the worker pool (the macro-loop split), and the strict replay
-    # must stay bitwise despite the parallel packing.
+    # And once each with GOMAXPROCS=2 (the benchmark host's core count)
+    # and GOMAXPROCS=4: one GEMM call then fans out across the worker
+    # pool (the macro-loop split), and the strict replay must stay
+    # bitwise despite the parallel packing.
+    GOMAXPROCS=2 engine_gates "$name/gomaxprocs=2" ${tagargs[@]+"${tagargs[@]}"}
     GOMAXPROCS=4 engine_gates "$name/gomaxprocs=4" ${tagargs[@]+"${tagargs[@]}"}
 
     topology_gates "$name" ${tagargs[@]+"${tagargs[@]}"}
